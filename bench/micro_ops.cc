@@ -73,10 +73,9 @@ BENCHMARK(BM_BackupSync);
 // --- The PS hot path end to end: apply a clock's worth of updates and
 // serialize the resulting push traffic. Legacy = per-row ApplyDelta +
 // per-row UpdateParamMsg frames (one allocation per row). Sharded =
-// batched ApplyUpdates + one coalesced delta batch per shard (single
-// allocation each). Arg(0) is ModelOptions::shards; the shards=1 run of
-// BM_ApplySerializeSharded measures batching alone, shards=4 adds lock
-// striping and coalesced framing — the tentpole's >= 2x claim.
+// batched ApplyUpdates (each partition lock taken once) + one coalesced
+// delta batch (single allocation). Arg(0) is ModelOptions::shards, which
+// only groups partitions, so the three runs differ by noise.
 constexpr int kHotRows = 4096;
 constexpr int kHotCols = 64;
 

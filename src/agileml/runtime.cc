@@ -774,9 +774,8 @@ IterationReport AgileMLRuntime::RunClock() {
 
   // --- Worker execution (real arithmetic, virtual compute time) ---
   std::vector<NodeId> workers(roles_.worker_nodes.begin(), roles_.worker_nodes.end());
-  std::map<NodeId, AccessTracker> trackers;
-  for (const NodeId w : workers) {
-    trackers[w];  // Pre-create: no rehash during the parallel section.
+  if (trackers_.size() < workers.size()) {
+    trackers_.resize(workers.size());  // Before the parallel section.
   }
   const int minibatches = std::max(1, config_.minibatches_per_pass);
   const int phase = static_cast<int>(clock_ % minibatches);
@@ -787,8 +786,9 @@ IterationReport AgileMLRuntime::RunClock() {
     slice.end = range.begin + range.size() * (phase + 1) / minibatches;
     return slice;
   };
-  auto run_node = [&](const NodeId w) {
-    AccessTracker& tracker = trackers[w];
+  auto run_node = [&](const std::size_t i) {
+    const NodeId w = workers[i];
+    AccessTracker& tracker = trackers_[i];
     tracker.Clear();
     if (revoked_.count(w) > 0) {
       return;  // Revoked with zero warning: the node executes nothing.
@@ -803,32 +803,52 @@ IterationReport AgileMLRuntime::RunClock() {
         app_->ProcessRange(ctx, slice.begin, slice.end);
       }
     }
+    tracker.Finalize();
   };
   if (pool_ != nullptr) {
-    pool_->ParallelFor(workers.size(), [&](std::size_t i) { run_node(workers[i]); });
+    pool_->ParallelFor(workers.size(), run_node);
   } else {
-    for (const NodeId w : workers) {
-      run_node(w);
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      run_node(i);
     }
   }
 
   // --- Communication accounting ---
   // Reads: server egress -> worker ingress; updates: worker egress ->
   // server ingress. Distinct rows per clock thanks to the worker-side
-  // cache (write-back coalescing).
+  // cache (write-back coalescing). Each worker's bytes are summed per
+  // server, so every (server, worker) pair is one fabric transfer.
   std::uint64_t pull_bytes = 0;  // Server -> worker (parameter reads).
   std::uint64_t push_bytes = 0;  // Worker -> server (update write-backs).
-  std::uint64_t push_saved_bytes = 0;  // Legacy framing minus coalesced.
+  std::uint64_t push_saved_bytes = 0;  // Per-row framing minus coalesced.
   const std::vector<NodeId> server_of = roles_.ServerByPartition(config_.num_partitions);
-  for (const NodeId w : workers) {
-    const AccessTracker& tracker = trackers[w];
+  std::vector<std::uint64_t> row_bytes;
+  for (const TableSpec& t : model_.tables()) {
+    row_bytes.push_back(model_.RowBytes(t.table_id));
+  }
+  // Each partition's server as an index into `servers` (distinct ids).
+  std::vector<NodeId> servers;
+  std::vector<std::size_t> server_slot;
+  server_slot.reserve(server_of.size());
+  for (const NodeId server : server_of) {
+    auto it = std::find(servers.begin(), servers.end(), server);
+    if (it == servers.end()) {
+      it = servers.insert(servers.end(), server);
+    }
+    server_slot.push_back(static_cast<std::size_t>(it - servers.begin()));
+  }
+  std::vector<std::uint64_t> pull_from(servers.size());
+  std::vector<std::uint64_t> push_to(servers.size());
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    const NodeId w = workers[i];
+    const AccessTracker& tracker = trackers_[i];
+    std::fill(pull_from.begin(), pull_from.end(), 0);
+    std::fill(push_to.begin(), push_to.end(), 0);
     for (const RowKey key : tracker.reads()) {
       const int table = TableOfKey(key);
       const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
-      const std::uint64_t bytes = model_.RowBytes(table);
-      pull_bytes += bytes;
-      fabric_.RecordTransfer(server_of[static_cast<std::size_t>(p)], w, bytes,
-                             TrafficClass::kForeground);
+      pull_from[server_slot[static_cast<std::size_t>(p)]] +=
+          row_bytes[static_cast<std::size_t>(table)];
     }
     if (model_.shards() > 1) {
       // Sharded fast path: the worker cache drains as one coalesced delta
@@ -840,7 +860,7 @@ IterationReport AgileMLRuntime::RunClock() {
         const int table = TableOfKey(key);
         const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
         batch_keys[server_of[static_cast<std::size_t>(p)]].push_back(key);
-        legacy_bytes += model_.RowBytes(table);
+        legacy_bytes += row_bytes[static_cast<std::size_t>(table)];
       }
       std::vector<std::uint32_t> cols;
       std::uint64_t coalesced_bytes = 0;
@@ -861,11 +881,15 @@ IterationReport AgileMLRuntime::RunClock() {
       for (const RowKey key : tracker.updates()) {
         const int table = TableOfKey(key);
         const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
-        const std::uint64_t bytes = model_.RowBytes(table);
-        push_bytes += bytes;
-        fabric_.RecordTransfer(w, server_of[static_cast<std::size_t>(p)], bytes,
-                               TrafficClass::kForeground);
+        push_to[server_slot[static_cast<std::size_t>(p)]] +=
+            row_bytes[static_cast<std::size_t>(table)];
       }
+    }
+    for (std::size_t s = 0; s < servers.size(); ++s) {
+      pull_bytes += pull_from[s];
+      push_bytes += push_to[s];
+      fabric_.RecordTransfer(servers[s], w, pull_from[s], TrafficClass::kForeground);
+      fabric_.RecordTransfer(w, servers[s], push_to[s], TrafficClass::kForeground);
     }
   }
   if (pull_bytes_counter_ != nullptr) {

@@ -376,6 +376,9 @@ class AgileMLRuntime {
   obs::Histogram* clock_duration_hist_ = nullptr;
 
   std::unique_ptr<ThreadPool> pool_;
+  // One per worker slot of RunClock, reused across clocks so the access
+  // buffers keep their capacity.
+  std::vector<AccessTracker> trackers_;
 };
 
 }  // namespace proteus

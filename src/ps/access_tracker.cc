@@ -1,29 +1,19 @@
 #include "src/ps/access_tracker.h"
 
+#include <algorithm>
+
 namespace proteus {
 
-void AccessTracker::Clear() {
-  reads_.clear();
-  updates_.clear();
-  total_read_ops_ = 0;
-  total_update_ops_ = 0;
+namespace {
+void SortUnique(std::vector<RowKey>& keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 }
+}  // namespace
 
-bool AccessTracker::RecordRead(int table, std::int64_t row) {
-  ++total_read_ops_;
-  return reads_.insert(MakeRowKey(table, row)).second;
-}
-
-bool AccessTracker::RecordUpdate(int table, std::int64_t row) {
-  ++total_update_ops_;
-  return updates_.insert(MakeRowKey(table, row)).second;
-}
-
-double AccessTracker::ReadHitRate() const {
-  if (total_read_ops_ == 0) {
-    return 0.0;
-  }
-  return 1.0 - static_cast<double>(reads_.size()) / static_cast<double>(total_read_ops_);
+void AccessTracker::Finalize() {
+  SortUnique(reads_);
+  SortUnique(updates_);
 }
 
 }  // namespace proteus

@@ -4,11 +4,15 @@
 // write-back-coalesces updates (§2.1), so each distinct row costs one
 // fetch and one flush per clock regardless of how many times workers on
 // the node touch it.
+//
+// Recording is an append (skipping a repeat of the last key); Finalize()
+// sorts and dedupes once at the end of the node's work. Clear() keeps the
+// buffers' capacity, so a tracker reused across clocks stops allocating.
 #ifndef SRC_PS_ACCESS_TRACKER_H_
 #define SRC_PS_ACCESS_TRACKER_H_
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "src/ps/model.h"
 
@@ -16,26 +20,31 @@ namespace proteus {
 
 class AccessTracker {
  public:
-  void Clear();
+  void Clear() {
+    reads_.clear();
+    updates_.clear();
+  }
 
-  // Returns true the first time the row is read this clock (a cache miss).
-  bool RecordRead(int table, std::int64_t row);
-  // Returns true the first time the row is updated this clock.
-  bool RecordUpdate(int table, std::int64_t row);
+  void RecordRead(int table, std::int64_t row) { Append(reads_, MakeRowKey(table, row)); }
+  void RecordUpdate(int table, std::int64_t row) { Append(updates_, MakeRowKey(table, row)); }
 
-  const std::unordered_set<RowKey>& reads() const { return reads_; }
-  const std::unordered_set<RowKey>& updates() const { return updates_; }
+  // Sorts and dedupes the recorded keys. Call once, after the last record
+  // of the clock.
+  void Finalize();
 
-  std::uint64_t total_read_ops() const { return total_read_ops_; }
-  std::uint64_t total_update_ops() const { return total_update_ops_; }
-  // Cache hit rate over reads this clock.
-  double ReadHitRate() const;
+  // Distinct rows touched this clock, ascending (after Finalize()).
+  const std::vector<RowKey>& reads() const { return reads_; }
+  const std::vector<RowKey>& updates() const { return updates_; }
 
  private:
-  std::unordered_set<RowKey> reads_;
-  std::unordered_set<RowKey> updates_;
-  std::uint64_t total_read_ops_ = 0;
-  std::uint64_t total_update_ops_ = 0;
+  static void Append(std::vector<RowKey>& keys, RowKey key) {
+    if (keys.empty() || keys.back() != key) {
+      keys.push_back(key);
+    }
+  }
+
+  std::vector<RowKey> reads_;
+  std::vector<RowKey> updates_;
 };
 
 }  // namespace proteus

@@ -39,19 +39,24 @@ ModelStore::ModelStore(std::vector<TableSpec> tables, int num_partitions, std::u
     PROTEUS_CHECK_GT(tables_[i].rows, 0);
     PROTEUS_CHECK_GT(tables_[i].cols, 0);
   }
-  if (fast()) {
-    const int locals = (num_partitions_ + options_.shards - 1) / options_.shards;
-    shards_.reserve(static_cast<std::size_t>(options_.shards));
-    for (int i = 0; i < options_.shards; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->dirty.resize(static_cast<std::size_t>(locals));
-      shards_.push_back(std::move(shard));
+  const auto n = static_cast<std::int64_t>(num_partitions_);
+  partitions_.reserve(static_cast<std::size_t>(num_partitions_));
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    auto part = std::make_unique<Partition>();
+    std::size_t capacity = 0;
+    for (const TableSpec& t : tables_) {
+      // Rows of table t in partition p are first, first + n, ... (see
+      // PartitionOf), so row / n is a dense index.
+      const std::int64_t first = ((p - t.table_id) % n + n) % n;
+      const std::int64_t count = first < t.rows ? (t.rows - 1 - first) / n + 1 : 0;
+      part->index.emplace_back(static_cast<std::size_t>(count), kNoSlot);
+      capacity += static_cast<std::size_t>(count) * static_cast<std::size_t>(t.cols);
     }
-  } else {
-    partitions_.reserve(static_cast<std::size_t>(num_partitions_));
-    for (int i = 0; i < num_partitions_; ++i) {
-      partitions_.push_back(std::make_unique<Partition>());
-    }
+    part->free_slots.resize(tables_.size());
+    part->capacity = capacity;
+    part->values = std::make_unique_for_overwrite<float[]>(capacity);
+    part->backup = std::make_unique_for_overwrite<float[]>(capacity);
+    partitions_.push_back(std::move(part));
   }
 }
 
@@ -83,11 +88,7 @@ std::uint64_t ModelStore::ModelBytes() const {
   return total;
 }
 
-ModelStore::Partition& ModelStore::PartitionFor(int table, std::int64_t row) {
-  return *partitions_[static_cast<std::size_t>(PartitionOf(table, row))];
-}
-
-const ModelStore::Partition& ModelStore::PartitionFor(int table, std::int64_t row) const {
+ModelStore::Partition& ModelStore::PartitionFor(int table, std::int64_t row) const {
   return *partitions_[static_cast<std::size_t>(PartitionOf(table, row))];
 }
 
@@ -101,311 +102,238 @@ float ModelStore::InitValueFor(RowKey key, int component) const {
   return spec.init_value + spec.init_jitter * static_cast<float>(2.0 * unit - 1.0);
 }
 
-std::vector<float>& ModelStore::RowLocked(Partition& p, int table, std::int64_t row) const {
+std::uint32_t ModelStore::AllocSlotLocked(Partition& part, int table, std::int64_t row) const {
   const RowKey key = MakeRowKey(table, row);
-  auto it = p.state.find(key);
-  if (it == p.state.end()) {
-    const int cols = this->table(table).cols;
-    std::vector<float> value(static_cast<std::size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-      value[static_cast<std::size_t>(c)] = InitValueFor(key, c);
-    }
-    it = p.state.emplace(key, std::move(value)).first;
+  std::vector<std::uint32_t>& free = part.free_slots[static_cast<std::size_t>(table)];
+  std::uint32_t slot = 0;
+  if (!free.empty()) {
+    slot = free.back();
+    free.pop_back();
+    part.slots[slot].key = key;
+  } else {
+    slot = static_cast<std::uint32_t>(part.slots.size());
+    part.slots.push_back({key, part.used});
+    part.used += static_cast<std::size_t>(this->table(table).cols);
+    PROTEUS_DCHECK(part.used <= part.capacity) << "arena overflow";
   }
-  return it->second;
+  part.slots[slot].live = true;
+  part.index[static_cast<std::size_t>(table)]
+            [static_cast<std::size_t>(row / num_partitions_)] = slot + 1;
+  ++part.live_rows;
+  return slot;
 }
 
-std::uint32_t ModelStore::SlotLocked(Shard& s, RowKey key, int cols) const {
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    return it->second;
+std::uint32_t ModelStore::SlotLocked(Partition& part, int table, std::int64_t row) const {
+  const std::uint32_t entry =
+      part.index[static_cast<std::size_t>(table)][static_cast<std::size_t>(row / num_partitions_)];
+  if (entry != kNoSlot) {
+    return entry - 1;
   }
-  const std::uint32_t idx = static_cast<std::uint32_t>(s.slots.size());
-  Slot slot;
-  slot.key = key;
-  slot.offset = s.values.size();
-  slot.cols = static_cast<std::uint32_t>(cols);
-  s.slots.push_back(slot);
-  s.values.resize(s.values.size() + static_cast<std::size_t>(cols));
-  s.backup_values.resize(s.values.size());
-  float* v = s.values.data() + slot.offset;
+  const std::uint32_t slot = AllocSlotLocked(part, table, row);
+  const Slot& s = part.slots[slot];
+  float* v = part.values.get() + s.offset;
+  const int cols = this->table(table).cols;
   for (int c = 0; c < cols; ++c) {
-    v[c] = InitValueFor(key, c);
+    v[c] = InitValueFor(s.key, c);
   }
-  s.index.emplace(key, idx);
-  ++s.live_rows;
-  return idx;
+  return slot;
+}
+
+void ModelStore::MarkDirtyLocked(Partition& part, std::uint32_t slot) const {
+  Slot& s = part.slots[slot];
+  if (!s.dirty) {
+    s.dirty = true;
+    part.dirty.push_back(slot);
+  }
+}
+
+void ModelStore::AddLocked(Partition& part, int table, std::int64_t row,
+                           std::span<const float> delta) const {
+  const std::uint32_t slot = SlotLocked(part, table, row);
+  float* v = part.values.get() + part.slots[slot].offset;
+  for (std::size_t c = 0; c < delta.size(); ++c) {
+    v[c] += delta[c];
+  }
+  MarkDirtyLocked(part, slot);
 }
 
 void ModelStore::ReadRow(int table, std::int64_t row, std::vector<float>& out) const {
-  if (fast()) {
-    const PartitionId part = PartitionOf(table, row);
-    auto& s = const_cast<Shard&>(*shards_[static_cast<std::size_t>(ShardOfPartition(part))]);
-    std::lock_guard<std::mutex> lock(s.mu);
-    const Slot& slot = s.slots[SlotLocked(s, MakeRowKey(table, row), this->table(table).cols)];
-    const float* v = s.values.data() + slot.offset;
-    out.assign(v, v + slot.cols);
-    return;
-  }
-  auto& p = const_cast<Partition&>(PartitionFor(table, row));
-  std::lock_guard<std::mutex> lock(p.mu);
-  const std::vector<float>& value = RowLocked(p, table, row);
-  out.assign(value.begin(), value.end());
+  Partition& part = PartitionFor(table, row);
+  std::lock_guard<std::mutex> lock(part.mu);
+  const float* v = part.values.get() + part.slots[SlotLocked(part, table, row)].offset;
+  out.assign(v, v + this->table(table).cols);
 }
 
 void ModelStore::ApplyDelta(int table, std::int64_t row, std::span<const float> delta) {
-  if (fast()) {
-    const PartitionId part = PartitionOf(table, row);
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const RowKey key = MakeRowKey(table, row);
-    const Slot& slot = s.slots[SlotLocked(s, key, this->table(table).cols)];
-    PROTEUS_CHECK_EQ(delta.size(), static_cast<std::size_t>(slot.cols));
-    float* v = s.values.data() + slot.offset;
-    for (std::uint32_t c = 0; c < slot.cols; ++c) {
-      v[c] += delta[c];
-    }
-    s.dirty[static_cast<std::size_t>(LocalPartition(part))].insert(key);
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Partition& p = PartitionFor(table, row);
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::vector<float>& value = RowLocked(p, table, row);
-  PROTEUS_CHECK_EQ(delta.size(), value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    value[i] += delta[i];
-  }
-  p.dirty.insert(MakeRowKey(table, row));
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  PROTEUS_CHECK_EQ(delta.size(), static_cast<std::size_t>(this->table(table).cols));
+  Partition& part = PartitionFor(table, row);
+  std::lock_guard<std::mutex> lock(part.mu);
+  AddLocked(part, table, row, delta);
+  part.version.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::ApplyUpdates(std::span<const RowDelta> deltas) {
-  if (!fast()) {
-    for (const RowDelta& d : deltas) {
-      ApplyDelta(d.table, d.row, d.values);
-    }
-    return;
-  }
-  // Bucket rows by owning shard so each shard lock is taken exactly once
-  // and rows land in input order within a shard.
-  std::vector<std::vector<std::uint32_t>> by_shard(
-      static_cast<std::size_t>(options_.shards));
-  std::vector<PartitionId> parts(deltas.size());
+  // Bucket rows by owning partition so each partition lock is taken
+  // exactly once and rows land in input order within a partition.
+  std::vector<std::vector<std::uint32_t>> by_part(static_cast<std::size_t>(num_partitions_));
   for (std::size_t i = 0; i < deltas.size(); ++i) {
-    parts[i] = PartitionOf(deltas[i].table, deltas[i].row);
-    by_shard[static_cast<std::size_t>(ShardOfPartition(parts[i]))].push_back(
+    PROTEUS_CHECK_EQ(deltas[i].values.size(),
+                     static_cast<std::size_t>(table(deltas[i].table).cols));
+    by_part[static_cast<std::size_t>(PartitionOf(deltas[i].table, deltas[i].row))].push_back(
         static_cast<std::uint32_t>(i));
   }
-  for (int sh = 0; sh < options_.shards; ++sh) {
-    const auto& idxs = by_shard[static_cast<std::size_t>(sh)];
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    const auto& idxs = by_part[static_cast<std::size_t>(p)];
     if (idxs.empty()) {
       continue;
     }
     const std::uint64_t t0 = metrics_ != nullptr ? NowNanos() : 0;
-    Shard& s = *shards_[static_cast<std::size_t>(sh)];
+    Partition& part = *partitions_[static_cast<std::size_t>(p)];
     {
-      std::lock_guard<std::mutex> lock(s.mu);
+      std::lock_guard<std::mutex> lock(part.mu);
       for (const std::uint32_t i : idxs) {
-        const RowDelta& d = deltas[i];
-        const RowKey key = MakeRowKey(d.table, d.row);
-        const Slot& slot = s.slots[SlotLocked(s, key, this->table(d.table).cols)];
-        PROTEUS_CHECK_EQ(d.values.size(), static_cast<std::size_t>(slot.cols));
-        float* v = s.values.data() + slot.offset;
-        const float* dv = d.values.data();
-        for (std::uint32_t c = 0; c < slot.cols; ++c) {
-          v[c] += dv[c];
-        }
-        s.dirty[static_cast<std::size_t>(LocalPartition(parts[i]))].insert(key);
+        AddLocked(part, deltas[i].table, deltas[i].row, deltas[i].values);
       }
-      s.version.fetch_add(idxs.size(), std::memory_order_relaxed);
+      part.version.fetch_add(idxs.size(), std::memory_order_relaxed);
     }
     if (metrics_ != nullptr) {
-      apply_nanos_[static_cast<std::size_t>(sh)]->Add(NowNanos() - t0);
-      apply_rows_[static_cast<std::size_t>(sh)]->Add(idxs.size());
+      const auto sh = static_cast<std::size_t>(ShardOfPartition(p));
+      apply_nanos_[sh]->Add(NowNanos() - t0);
+      apply_rows_[sh]->Add(idxs.size());
     }
   }
 }
 
 void ModelStore::SetRow(int table, std::int64_t row, std::span<const float> value) {
-  if (fast()) {
-    const PartitionId part = PartitionOf(table, row);
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const RowKey key = MakeRowKey(table, row);
-    const Slot& slot = s.slots[SlotLocked(s, key, this->table(table).cols)];
-    PROTEUS_CHECK_EQ(value.size(), static_cast<std::size_t>(slot.cols));
-    std::copy(value.begin(), value.end(), s.values.begin() + static_cast<std::ptrdiff_t>(slot.offset));
-    s.dirty[static_cast<std::size_t>(LocalPartition(part))].insert(key);
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Partition& p = PartitionFor(table, row);
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::vector<float>& stored = RowLocked(p, table, row);
-  PROTEUS_CHECK_EQ(value.size(), stored.size());
-  std::copy(value.begin(), value.end(), stored.begin());
-  p.dirty.insert(MakeRowKey(table, row));
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  PROTEUS_CHECK_EQ(value.size(), static_cast<std::size_t>(this->table(table).cols));
+  Partition& part = PartitionFor(table, row);
+  std::lock_guard<std::mutex> lock(part.mu);
+  const std::uint32_t slot = SlotLocked(part, table, row);
+  std::copy(value.begin(), value.end(), part.values.get() + part.slots[slot].offset);
+  MarkDirtyLocked(part, slot);
+  part.version.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ModelStore::BumpShardVersion(int shard) {
+  // Partition `shard` is the shard's first partition.
+  partitions_[static_cast<std::size_t>(shard)]->version.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::EnableBackups() {
-  if (fast()) {
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->backup_values = s->values;
-      for (Slot& slot : s->slots) {
-        slot.in_backup = slot.live;
-      }
-      for (auto& d : s->dirty) {
-        d.clear();
-      }
-      s->version.fetch_add(1, std::memory_order_relaxed);
+  for (auto& part : partitions_) {
+    std::lock_guard<std::mutex> lock(part->mu);
+    std::copy_n(part->values.get(), part->used, part->backup.get());
+    for (Slot& slot : part->slots) {
+      slot.in_backup = slot.live;
+      slot.dirty = false;
     }
-  } else {
-    for (auto& p : partitions_) {
-      std::lock_guard<std::mutex> lock(p->mu);
-      p->backup = p->state;
-      p->dirty.clear();
-    }
-    legacy_version_.fetch_add(1, std::memory_order_relaxed);
+    part->dirty.clear();
+  }
+  for (int s = 0; s < options_.shards; ++s) {
+    BumpShardVersion(s);
   }
   backups_enabled_ = true;
 }
 
-std::vector<RowKey> ModelStore::SortedDirtyLocked(
-    const std::unordered_set<RowKey>& dirty) const {
-  std::vector<RowKey> keys(dirty.begin(), dirty.end());
-  std::sort(keys.begin(), keys.end());
+std::vector<RowKey> ModelStore::KeysLocked(const Partition& part,
+                                           const std::vector<std::uint32_t>& slots) const {
+  std::vector<RowKey> keys;
+  keys.reserve(slots.size());
+  for (const std::uint32_t slot : slots) {
+    keys.push_back(part.slots[slot].key);
+  }
   return keys;
 }
 
-std::uint64_t ModelStore::CoalescedBytes(const std::vector<RowKey>& sorted_keys) const {
-  if (sorted_keys.empty()) {
+std::uint64_t ModelStore::WireBytes(std::vector<RowKey> keys) const {
+  std::uint64_t bytes = 0;
+  if (options_.shards == 1) {
+    // Per-row UpdateParamMsg framing.
+    for (const RowKey key : keys) {
+      bytes += RowBytes(TableOfKey(key));
+    }
+    return bytes;
+  }
+  if (keys.empty()) {
     return 0;
   }
+  // One coalesced delta batch.
+  std::sort(keys.begin(), keys.end());
   std::vector<std::uint32_t> cols;
-  cols.reserve(sorted_keys.size());
-  for (const RowKey key : sorted_keys) {
+  cols.reserve(keys.size());
+  for (const RowKey key : keys) {
     cols.push_back(static_cast<std::uint32_t>(table(TableOfKey(key)).cols));
   }
-  return DeltaBatchEncodedBytes(sorted_keys, cols);
+  return DeltaBatchEncodedBytes(keys, cols);
 }
 
-std::uint64_t ModelStore::DirtyBytes(PartitionId part) const {
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return CoalescedBytes(SortedDirtyLocked(s.dirty[static_cast<std::size_t>(LocalPartition(part))]));
-  }
-  const Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::uint64_t bytes = 0;
-  for (RowKey key : p.dirty) {
-    bytes += RowBytes(TableOfKey(key));
-  }
-  return bytes;
+std::uint64_t ModelStore::DirtyBytes(PartitionId p) const {
+  const Partition& part = *partitions_[static_cast<std::size_t>(p)];
+  std::lock_guard<std::mutex> lock(part.mu);
+  return WireBytes(KeysLocked(part, part.dirty));
 }
 
-std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId part, Clock at_clock) {
+std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId p, Clock at_clock) {
   PROTEUS_CHECK(backups_enabled_);
-  if (fast()) {
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& dirty = s.dirty[static_cast<std::size_t>(LocalPartition(part))];
-    const std::vector<RowKey> keys = SortedDirtyLocked(dirty);
-    for (const RowKey key : keys) {
-      Slot& slot = s.slots[s.index.at(key)];
-      std::memcpy(s.backup_values.data() + slot.offset, s.values.data() + slot.offset,
-                  static_cast<std::size_t>(slot.cols) * sizeof(float));
-      slot.in_backup = true;
-    }
-    dirty.clear();
-    if (at_clock >= 0) {
-      s.last_sync_clock = at_clock;
-    }
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return CoalescedBytes(keys);
+  Partition& part = *partitions_[static_cast<std::size_t>(p)];
+  std::lock_guard<std::mutex> lock(part.mu);
+  for (const std::uint32_t slot : part.dirty) {
+    Slot& s = part.slots[slot];
+    std::copy_n(part.values.get() + s.offset, table(TableOfKey(s.key)).cols,
+                part.backup.get() + s.offset);
+    s.in_backup = true;
+    s.dirty = false;
   }
-  Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::uint64_t bytes = 0;
-  for (RowKey key : p.dirty) {
-    p.backup[key] = p.state.at(key);
-    bytes += RowBytes(TableOfKey(key));
-  }
-  p.dirty.clear();
+  const std::uint64_t bytes = WireBytes(KeysLocked(part, part.dirty));
+  part.dirty.clear();
   if (at_clock >= 0) {
-    legacy_sync_clock_ = at_clock;
+    part.last_sync_clock = at_clock;
   }
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  part.version.fetch_add(1, std::memory_order_relaxed);
   return bytes;
 }
 
-std::vector<std::uint8_t> ModelStore::EncodeDirtyRows(PartitionId part) const {
+std::vector<std::uint8_t> ModelStore::EncodeDirtyRows(PartitionId p) const {
+  const Partition& part = *partitions_[static_cast<std::size_t>(p)];
+  std::lock_guard<std::mutex> lock(part.mu);
+  std::vector<std::uint32_t> slots = part.dirty;
+  std::sort(slots.begin(), slots.end(), [&part](std::uint32_t a, std::uint32_t b) {
+    return part.slots[a].key < part.slots[b].key;
+  });
   std::vector<DeltaRow> rows;
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const std::vector<RowKey> keys =
-        SortedDirtyLocked(s.dirty[static_cast<std::size_t>(LocalPartition(part))]);
-    rows.reserve(keys.size());
-    for (const RowKey key : keys) {
-      const Slot& slot = s.slots[s.index.at(key)];
-      rows.push_back({key, std::span<const float>(s.values.data() + slot.offset, slot.cols)});
-    }
-    return EncodeDeltaBatch(rows);
-  }
-  const Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  const std::vector<RowKey> keys = SortedDirtyLocked(p.dirty);
-  rows.reserve(keys.size());
-  for (const RowKey key : keys) {
-    const std::vector<float>& value = p.state.at(key);
-    rows.push_back({key, std::span<const float>(value)});
+  rows.reserve(slots.size());
+  for (const std::uint32_t slot : slots) {
+    const Slot& s = part.slots[slot];
+    rows.push_back({s.key, std::span<const float>(part.values.get() + s.offset,
+                                                  table(TableOfKey(s.key)).cols)});
   }
   return EncodeDeltaBatch(rows);
 }
 
-void ModelStore::RollbackPartitionToBackup(PartitionId part) {
+void ModelStore::RollbackPartitionToBackup(PartitionId p) {
   PROTEUS_CHECK(backups_enabled_);
-  if (fast()) {
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& dirty = s.dirty[static_cast<std::size_t>(LocalPartition(part))];
-    for (const RowKey key : dirty) {
-      const std::uint32_t idx = s.index.at(key);
-      Slot& slot = s.slots[idx];
-      if (slot.in_backup) {
-        std::memcpy(s.values.data() + slot.offset, s.backup_values.data() + slot.offset,
-                    static_cast<std::size_t>(slot.cols) * sizeof(float));
-      } else {
-        // Row materialized after the last sync; drop it — lazy init will
-        // recreate the identical initial value on next read. The arena
-        // slot is retired (append-only storage is never compacted).
-        slot.live = false;
-        s.index.erase(key);
-        --s.live_rows;
-      }
-    }
-    dirty.clear();
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  for (RowKey key : p.dirty) {
-    auto it = p.backup.find(key);
-    if (it != p.backup.end()) {
-      p.state[key] = it->second;
+  Partition& part = *partitions_[static_cast<std::size_t>(p)];
+  std::lock_guard<std::mutex> lock(part.mu);
+  for (const std::uint32_t slot : part.dirty) {
+    Slot& s = part.slots[slot];
+    s.dirty = false;
+    const int table = TableOfKey(s.key);
+    if (s.in_backup) {
+      std::copy_n(part.backup.get() + s.offset, this->table(table).cols,
+                  part.values.get() + s.offset);
     } else {
       // Row materialized after the last sync; drop it — lazy init will
-      // recreate the identical initial value on next read.
-      p.state.erase(key);
+      // recreate the identical initial value on next read — and recycle
+      // its slot for the next row of the same table.
+      s.live = false;
+      part.index[static_cast<std::size_t>(table)]
+                [static_cast<std::size_t>(RowOfKey(s.key) / num_partitions_)] = kNoSlot;
+      part.free_slots[static_cast<std::size_t>(table)].push_back(slot);
+      --part.live_rows;
     }
   }
-  p.dirty.clear();
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  part.dirty.clear();
+  part.version.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::RollbackAllToBackup() {
@@ -414,71 +342,63 @@ void ModelStore::RollbackAllToBackup() {
   }
 }
 
-std::uint64_t ModelStore::PartitionBytes(PartitionId part) const {
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    std::vector<RowKey> keys;
-    for (const auto& [key, idx] : s.index) {
-      if (PartitionOf(TableOfKey(key), RowOfKey(key)) == part) {
-        keys.push_back(key);
-      }
+std::uint64_t ModelStore::PartitionBytes(PartitionId p) const {
+  const Partition& part = *partitions_[static_cast<std::size_t>(p)];
+  std::lock_guard<std::mutex> lock(part.mu);
+  std::vector<RowKey> keys;
+  keys.reserve(part.live_rows);
+  for (const Slot& s : part.slots) {
+    if (s.live) {
+      keys.push_back(s.key);
     }
-    std::sort(keys.begin(), keys.end());
-    return CoalescedBytes(keys);
   }
-  const Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::uint64_t bytes = 0;
-  for (const auto& [key, unused] : p.state) {
-    bytes += RowBytes(TableOfKey(key));
-  }
-  return bytes;
+  return WireBytes(std::move(keys));
 }
 
-void ModelStore::AppendPartitionCheckpoint(PartitionId part,
+void ModelStore::AppendPartitionCheckpoint(PartitionId p,
                                            std::vector<std::uint8_t>& blob) const {
   auto append = [&blob](const void* data, std::size_t n) {
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     blob.insert(blob.end(), bytes, bytes + n);
   };
-  auto append_row = [&append](RowKey key, const float* v, std::uint32_t cols) {
-    append(&key, sizeof(key));
-    append(&cols, sizeof(cols));
-    append(v, static_cast<std::size_t>(cols) * sizeof(float));
-  };
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    std::vector<RowKey> keys;
-    for (const auto& [key, idx] : s.index) {
-      if (PartitionOf(TableOfKey(key), RowOfKey(key)) == part) {
-        keys.push_back(key);
+  const Partition& part = *partitions_[static_cast<std::size_t>(p)];
+  std::lock_guard<std::mutex> lock(part.mu);
+  // Tables ascending, then rows ascending: the dense index walks keys in
+  // sorted order.
+  for (std::size_t t = 0; t < tables_.size(); ++t) {
+    const auto cols = static_cast<std::uint32_t>(tables_[t].cols);
+    for (const std::uint32_t entry : part.index[t]) {
+      if (entry == kNoSlot) {
+        continue;
       }
+      const Slot& s = part.slots[entry - 1];
+      append(&s.key, sizeof(s.key));
+      append(&cols, sizeof(cols));
+      append(part.values.get() + s.offset, static_cast<std::size_t>(cols) * sizeof(float));
     }
-    std::sort(keys.begin(), keys.end());
-    for (const RowKey key : keys) {
-      const Slot& slot = s.slots[s.index.at(key)];
-      append_row(key, s.values.data() + slot.offset, slot.cols);
-    }
-    return;
-  }
-  const Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::vector<RowKey> keys;
-  keys.reserve(p.state.size());
-  for (const auto& [key, unused] : p.state) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const RowKey key : keys) {
-    const std::vector<float>& value = p.state.at(key);
-    append_row(key, value.data(), static_cast<std::uint32_t>(value.size()));
   }
 }
 
+std::size_t ModelStore::ShardCheckpointBound(int shard) const {
+  // A hint only: rows materialized after this count grow the blob the
+  // usual way.
+  std::size_t bytes = 0;
+  for (PartitionId p = shard; p < num_partitions_; p += options_.shards) {
+    const Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    std::lock_guard<std::mutex> lock(part.mu);
+    bytes += part.slots.size() * (sizeof(RowKey) + sizeof(std::uint32_t)) +
+             part.used * sizeof(float);
+  }
+  return bytes;
+}
+
 std::vector<std::uint8_t> ModelStore::SerializeCheckpoint() const {
+  std::size_t bound = 0;
+  for (int s = 0; s < options_.shards; ++s) {
+    bound += ShardCheckpointBound(s);
+  }
   std::vector<std::uint8_t> blob;
+  blob.reserve(bound);
   for (PartitionId p = 0; p < num_partitions_; ++p) {
     AppendPartitionCheckpoint(p, blob);
   }
@@ -489,27 +409,33 @@ std::vector<std::uint8_t> ModelStore::SerializeShardCheckpoint(int shard) const 
   PROTEUS_CHECK_GE(shard, 0);
   PROTEUS_CHECK_LT(shard, options_.shards);
   std::vector<std::uint8_t> blob;
+  blob.reserve(ShardCheckpointBound(shard));
   for (PartitionId p = shard; p < num_partitions_; p += options_.shards) {
     AppendPartitionCheckpoint(p, blob);
   }
   return blob;
 }
 
-void ModelStore::RestoreCheckpoint(const std::vector<std::uint8_t>& blob) {
-  if (fast()) {
-    for (int s = 0; s < options_.shards; ++s) {
-      RestoreShardCheckpoint(s, std::span<const std::uint8_t>());
+void ModelStore::ClearShard(int shard) {
+  for (PartitionId p = shard; p < num_partitions_; p += options_.shards) {
+    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    std::lock_guard<std::mutex> lock(part.mu);
+    for (auto& table_index : part.index) {
+      std::fill(table_index.begin(), table_index.end(), kNoSlot);
     }
-  } else {
-    for (auto& p : partitions_) {
-      std::lock_guard<std::mutex> lock(p->mu);
-      p->state.clear();
-      p->backup.clear();  // Restore invalidates the backup copy.
-      p->dirty.clear();
+    part.slots.clear();
+    for (auto& free : part.free_slots) {
+      free.clear();
     }
-    legacy_version_.fetch_add(1, std::memory_order_relaxed);
+    part.dirty.clear();
+    part.used = 0;
+    part.live_rows = 0;
   }
-  backups_enabled_ = false;
+  BumpShardVersion(shard);
+  backups_enabled_ = false;  // Restore invalidates the backup copy.
+}
+
+void ModelStore::LoadRows(std::span<const std::uint8_t> blob, int shard) {
   std::size_t offset = 0;
   auto read = [&](void* out, std::size_t n) {
     PROTEUS_CHECK_LE(offset + n, blob.size());
@@ -521,100 +447,67 @@ void ModelStore::RestoreCheckpoint(const std::vector<std::uint8_t>& blob) {
     std::uint32_t n = 0;
     read(&key, sizeof(key));
     read(&n, sizeof(n));
-    std::vector<float> value(n);
-    read(value.data(), n * sizeof(float));
     const int tbl = TableOfKey(key);
     const std::int64_t row = RowOfKey(key);
-    if (fast()) {
-      const PartitionId part = PartitionOf(tbl, row);
-      Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-      std::lock_guard<std::mutex> lock(s.mu);
-      const Slot& slot = s.slots[SlotLocked(s, key, static_cast<int>(n))];
-      std::copy(value.begin(), value.end(),
-                s.values.begin() + static_cast<std::ptrdiff_t>(slot.offset));
-    } else {
-      Partition& p = PartitionFor(tbl, row);
-      std::lock_guard<std::mutex> lock(p.mu);
-      p.state[key] = std::move(value);
-    }
+    PROTEUS_CHECK_EQ(n, static_cast<std::uint32_t>(table(tbl).cols)) << "row " << key;
+    const PartitionId p = PartitionOf(tbl, row);
+    PROTEUS_CHECK(shard < 0 || ShardOfPartition(p) == shard)
+        << "row " << key << " not owned by shard " << shard;
+    Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    std::lock_guard<std::mutex> lock(part.mu);
+    std::uint32_t entry =
+        part.index[static_cast<std::size_t>(tbl)][static_cast<std::size_t>(row / num_partitions_)];
+    const std::uint32_t slot = entry != kNoSlot ? entry - 1 : AllocSlotLocked(part, tbl, row);
+    read(part.values.get() + part.slots[slot].offset, static_cast<std::size_t>(n) * sizeof(float));
   }
+}
+
+void ModelStore::RestoreCheckpoint(const std::vector<std::uint8_t>& blob) {
+  for (int s = 0; s < options_.shards; ++s) {
+    ClearShard(s);
+  }
+  LoadRows(blob, /*shard=*/-1);
 }
 
 void ModelStore::RestoreShardCheckpoint(int shard, std::span<const std::uint8_t> blob) {
   PROTEUS_CHECK_GE(shard, 0);
   PROTEUS_CHECK_LT(shard, options_.shards);
-  if (!fast()) {
-    // Single shard == the whole store; reuse the full restore (which also
-    // invalidates the backup).
-    RestoreCheckpoint(std::vector<std::uint8_t>(blob.begin(), blob.end()));
-    return;
-  }
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.values.clear();
-  s.backup_values.clear();
-  s.index.clear();
-  s.slots.clear();
-  for (auto& d : s.dirty) {
-    d.clear();
-  }
-  s.live_rows = 0;
-  std::size_t offset = 0;
-  auto read = [&](void* out, std::size_t n) {
-    PROTEUS_CHECK_LE(offset + n, blob.size());
-    std::memcpy(out, blob.data() + offset, n);
-    offset += n;
-  };
-  while (offset < blob.size()) {
-    RowKey key = 0;
-    std::uint32_t n = 0;
-    read(&key, sizeof(key));
-    read(&n, sizeof(n));
-    const PartitionId part = PartitionOf(TableOfKey(key), RowOfKey(key));
-    PROTEUS_CHECK_EQ(ShardOfPartition(part), shard) << "row " << key << " not owned by shard";
-    const Slot& slot = s.slots[SlotLocked(s, key, static_cast<int>(n))];
-    read(s.values.data() + slot.offset, static_cast<std::size_t>(n) * sizeof(float));
-  }
-  s.version.fetch_add(1, std::memory_order_relaxed);
+  ClearShard(shard);
+  LoadRows(blob, shard);
 }
 
 std::uint64_t ModelStore::ShardVersion(int shard) const {
   PROTEUS_CHECK_GE(shard, 0);
   PROTEUS_CHECK_LT(shard, options_.shards);
-  if (!fast()) {
-    return legacy_version_.load(std::memory_order_relaxed);
+  std::uint64_t version = 0;
+  for (PartitionId p = shard; p < num_partitions_; p += options_.shards) {
+    version += partitions_[static_cast<std::size_t>(p)]->version.load(std::memory_order_relaxed);
   }
-  return shards_[static_cast<std::size_t>(shard)]->version.load(std::memory_order_relaxed);
+  return version;
 }
 
 ShardState ModelStore::ShardStateOf(int shard) const {
   PROTEUS_CHECK_GE(shard, 0);
   PROTEUS_CHECK_LT(shard, options_.shards);
   ShardState state;
-  if (!fast()) {
-    state.version = legacy_version_.load(std::memory_order_relaxed);
-    state.last_sync_clock = legacy_sync_clock_;
-    state.live_rows = MaterializedRows();
-    return state;
+  for (PartitionId p = shard; p < num_partitions_; p += options_.shards) {
+    const Partition& part = *partitions_[static_cast<std::size_t>(p)];
+    std::lock_guard<std::mutex> lock(part.mu);
+    state.version += part.version.load(std::memory_order_relaxed);
+    state.last_sync_clock = std::max(state.last_sync_clock, part.last_sync_clock);
+    state.live_rows += part.live_rows;
+    state.arena_floats += part.used;
   }
-  const Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  state.version = s.version.load(std::memory_order_relaxed);
-  state.last_sync_clock = s.last_sync_clock;
-  state.live_rows = s.live_rows;
   return state;
 }
 
 double ModelStore::ShardImbalance() const {
-  if (!fast()) {
-    return 1.0;
-  }
   std::size_t max_rows = 0;
   std::size_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    max_rows = std::max(max_rows, s->live_rows);
-    total += s->live_rows;
+  for (int s = 0; s < options_.shards; ++s) {
+    const std::size_t rows = ShardStateOf(s).live_rows;
+    max_rows = std::max(max_rows, rows);
+    total += rows;
   }
   if (total == 0) {
     return 1.0;
@@ -645,55 +538,31 @@ void ModelStore::UpdateShardGauges() {
   if (metrics_ == nullptr) {
     return;
   }
-  if (fast()) {
-    for (int s = 0; s < options_.shards; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[static_cast<std::size_t>(s)]->mu);
-      shard_rows_[static_cast<std::size_t>(s)]->Set(
-          static_cast<double>(shards_[static_cast<std::size_t>(s)]->live_rows));
-    }
-  } else {
-    shard_rows_[0]->Set(static_cast<double>(MaterializedRows()));
+  for (int s = 0; s < options_.shards; ++s) {
+    shard_rows_[static_cast<std::size_t>(s)]->Set(static_cast<double>(ShardStateOf(s).live_rows));
   }
   imbalance_gauge_->Set(ShardImbalance());
 }
 
 void ModelStore::ForEachRow(
     int table, const std::function<void(std::int64_t, std::span<const float>)>& fn) const {
-  if (fast()) {
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      for (const Slot& slot : s->slots) {
-        if (slot.live && TableOfKey(slot.key) == table) {
-          fn(RowOfKey(slot.key),
-             std::span<const float>(s->values.data() + slot.offset, slot.cols));
-        }
-      }
-    }
-    return;
-  }
-  for (const auto& p : partitions_) {
-    std::lock_guard<std::mutex> lock(p->mu);
-    for (const auto& [key, value] : p->state) {
-      if (TableOfKey(key) == table) {
-        fn(RowOfKey(key), std::span<const float>(value));
+  const auto cols = static_cast<std::size_t>(this->table(table).cols);
+  for (const auto& part : partitions_) {
+    std::lock_guard<std::mutex> lock(part->mu);
+    for (const std::uint32_t entry : part->index[static_cast<std::size_t>(table)]) {
+      if (entry != kNoSlot) {
+        const Slot& s = part->slots[entry - 1];
+        fn(RowOfKey(s.key), std::span<const float>(part->values.get() + s.offset, cols));
       }
     }
   }
 }
 
 std::size_t ModelStore::MaterializedRows() const {
-  if (fast()) {
-    std::size_t total = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      total += s->live_rows;
-    }
-    return total;
-  }
   std::size_t total = 0;
-  for (const auto& p : partitions_) {
-    std::lock_guard<std::mutex> lock(p->mu);
-    total += p->state.size();
+  for (const auto& part : partitions_) {
+    std::lock_guard<std::mutex> lock(part->mu);
+    total += part->live_rows;
   }
   return total;
 }

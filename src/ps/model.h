@@ -12,30 +12,36 @@
 //     delta applied ... since the last time they applied their state to
 //     the BackupPSs", which makes rollback cheap.
 //
-// Two storage engines sit behind the same interface, selected by
-// ModelOptions::shards:
-//   - shards == 1 (default): the legacy path — one hash map + mutex per
-//     partition, per-row wire accounting. Kept verbatim so the
-//     differential tests (tests/ps_differential_test.cc) can pin the
-//     fast path against it bit for bit.
-//   - shards >= 2: the lock-striped fast path — partitions are grouped
-//     into `shards` stripes (partition p lives wholly in shard
-//     p % shards, so partition-granular elasticity re-assignment never
-//     splits a shard's row set). Each shard holds one mutex, a
-//     contiguous append-only float arena (SIMD-friendly batched
-//     ApplyUpdates), per-shard version/sync-clock metadata, and
-//     delta-sync accounting in the coalesced varint wire format
-//     (EncodeDeltaBatch in src/rpc/serializer.h).
+// Storage layout: one engine for every ModelOptions::shards value. Each
+// partition owns
+//   - its mutex (one lock per partition: workers updating rows of
+//     different partitions never contend);
+//   - a contiguous float arena with room for every row the partition
+//     can hold, allocated up front (virtual memory: pages are touched
+//     only as rows materialize), plus a backup arena at the same offsets;
+//   - a dense [table][row / num_partitions] slot index (no hashing);
+//   - a dirty list plus a per-slot dirty flag;
+//   - its own version counter.
+// A rollback that drops a row created after the last sync puts its slot
+// on a free list, so apply/rollback churn never grows the arena.
+//
+// `shards` only groups partitions: partition p belongs to shard
+// p % shards. The grouping decides the checkpoint blobs
+// (SerializeShardCheckpoint / RestoreShardCheckpoint), the values of
+// ShardVersion / ShardStateOf (sum or max over the shard's partitions),
+// and wire-byte accounting: per-row framing at shards == 1, coalesced
+// varint delta batches (EncodeDeltaBatch in src/rpc/serializer.h) at
+// shards >= 2.
 //
 // Checkpoints are canonical (partitions ascending, rows sorted by key
-// within a partition), so the two engines produce bit-identical bytes
+// within a partition), so every shard count produces bit-identical bytes
 // for identical state. RestoreCheckpoint / RestoreShardCheckpoint
-// invalidate the backup copy on both paths; callers that use backups
-// must EnableBackups() afterwards (AgileMLRuntime does).
+// invalidate the backup copy; callers that use backups must
+// EnableBackups() afterwards (AgileMLRuntime does).
 //
-// Thread-safety: every operation takes the owning partition's (legacy)
-// or shard's (fast path) mutex. Row vectors are never resized after
-// creation. Per-shard versions are readable lock-free.
+// Thread-safety: every row operation takes the owning partition's mutex.
+// Row storage never moves after construction. Shard versions are
+// readable lock-free.
 #ifndef SRC_PS_MODEL_H_
 #define SRC_PS_MODEL_H_
 
@@ -45,8 +51,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/types.h"
@@ -65,10 +69,10 @@ struct TableSpec {
   float init_jitter = 0.0F;
 };
 
-// Storage-engine knobs (see the header comment for semantics).
+// Store knobs (see the header comment for semantics).
 struct ModelOptions {
-  // Lock stripes. 1 = legacy per-partition hash-map path; >= 2 = the
-  // contiguous-arena striped fast path. Clamped to num_partitions.
+  // Partition groups for checkpoints, shard metadata and wire-byte
+  // accounting (1 = per-row framing). Clamped to num_partitions.
   int shards = 1;
 };
 
@@ -83,9 +87,9 @@ constexpr std::int64_t RowOfKey(RowKey key) {
   return static_cast<std::int64_t>(key & ((1ULL << 40) - 1));
 }
 
-// Serialization overhead per row on the wire with legacy per-row framing
-// (key + length + framing). The fast path replaces this with coalesced
-// varint batches.
+// Serialization overhead per row on the wire with per-row framing
+// (key + length + framing). At shards >= 2 coalesced varint batches
+// replace it.
 inline constexpr std::size_t kRowWireOverhead = 16;
 
 // One row update for the batched apply path. `values` must stay alive
@@ -96,12 +100,12 @@ struct RowDelta {
   std::span<const float> values;
 };
 
-// Point-in-time metadata of one shard (fast path; the legacy path
-// reports everything under shard 0).
+// Point-in-time metadata of one shard, aggregated over its partitions.
 struct ShardState {
-  std::uint64_t version = 0;    // Bumps on every state mutation.
-  Clock last_sync_clock = -1;   // Last SyncPartitionToBackup(p, clock) here.
+  std::uint64_t version = 0;    // Sum of partition versions; moves on every mutation.
+  Clock last_sync_clock = -1;   // Max SyncPartitionToBackup(p, clock) over the shard.
   std::size_t live_rows = 0;    // Materialized, non-dropped rows.
+  std::size_t arena_floats = 0; // Arena floats bound to slots (live or free).
 };
 
 class ModelStore {
@@ -118,7 +122,7 @@ class ModelStore {
   const TableSpec& table(int table_id) const;
 
   PartitionId PartitionOf(int table, std::int64_t row) const;
-  std::size_t RowBytes(int table) const;  // Legacy wire size of one row.
+  std::size_t RowBytes(int table) const;  // Per-row-framed wire size of one row.
   // Total wire size of the full model (all rows of all tables).
   std::uint64_t ModelBytes() const;
 
@@ -126,10 +130,9 @@ class ModelStore {
   void ReadRow(int table, std::int64_t row, std::vector<float>& out) const;
   // Component-wise add; marks the row dirty.
   void ApplyDelta(int table, std::int64_t row, std::span<const float> delta);
-  // Batched component-wise add: each shard's lock is taken once for the
-  // whole batch and rows are applied in input order within a shard. On
-  // the legacy path this degenerates to per-row ApplyDelta calls, which
-  // is exactly the baseline the micro_ops bench compares against.
+  // Batched component-wise add: each partition's lock is taken once for
+  // the whole batch and rows are applied in input order within a
+  // partition, so the float sums equal per-row ApplyDelta calls.
   void ApplyUpdates(std::span<const RowDelta> deltas);
   // Overwrites the row (used by tests and recovery paths).
   void SetRow(int table, std::int64_t row, std::span<const float> value);
@@ -139,16 +142,16 @@ class ModelStore {
   void EnableBackups();
   bool backups_enabled() const { return backups_enabled_; }
   // Wire bytes that a sync of partition p would transfer right now:
-  // per-row framing on the legacy path, one coalesced delta batch on the
-  // fast path (0 when nothing is dirty on either path).
+  // per-row framing at shards == 1, one coalesced delta batch at
+  // shards >= 2 (0 when nothing is dirty).
   std::uint64_t DirtyBytes(PartitionId p) const;
   // Copies dirty rows of partition p into the backup; returns the wire
   // bytes (same accounting as DirtyBytes). `at_clock >= 0` records the
-  // sync clock in the owning shard's metadata.
+  // sync clock in the partition's metadata.
   std::uint64_t SyncPartitionToBackup(PartitionId p, Clock at_clock = -1);
   // The exact coalesced wire payload a sync of partition p would send:
   // the dirty rows' current values as one delta batch, rows in key
-  // order. Byte-identical across storage engines for identical state.
+  // order. Byte-identical across shard counts for identical state.
   std::vector<std::uint8_t> EncodeDirtyRows(PartitionId p) const;
   // Reverts partition p's state to the backup copy (discarding deltas
   // applied since the last sync). Rows created after the last sync are
@@ -161,7 +164,7 @@ class ModelStore {
   // --- Checkpointing (stage-1 reliable-machine insurance, §3.3) ---
   // Serializes the full authoritative state in canonical order
   // (partitions ascending, rows sorted by key within each partition);
-  // identical state yields identical bytes on both storage engines.
+  // identical state yields identical bytes at every shard count.
   std::vector<std::uint8_t> SerializeCheckpoint() const;
   // Canonical bytes of one shard's partitions (ascending), enabling
   // shard-granular snapshot/restore.
@@ -173,7 +176,8 @@ class ModelStore {
   void RestoreShardCheckpoint(int shard, std::span<const std::uint8_t> blob);
 
   // --- Per-shard metadata and observability ---
-  // Lock-free monotonic mutation counter of one shard.
+  // Lock-free monotonic mutation counter of one shard (sum over its
+  // partitions).
   std::uint64_t ShardVersion(int shard) const;
   ShardState ShardStateOf(int shard) const;
   // max/mean live rows across shards (1.0 = perfectly balanced; 1.0 when
@@ -196,64 +200,67 @@ class ModelStore {
   std::size_t MaterializedRows() const;
 
  private:
-  // --- Legacy engine (shards == 1) ---
-  struct Partition {
-    mutable std::mutex mu;
-    std::unordered_map<RowKey, std::vector<float>> state;
-    std::unordered_map<RowKey, std::vector<float>> backup;
-    std::unordered_set<RowKey> dirty;
-  };
-
-  // --- Striped engine (shards >= 2) ---
   struct Slot {
     RowKey key = 0;
-    std::size_t offset = 0;     // Into values/backup_values, in floats.
-    std::uint32_t cols = 0;
-    bool live = true;           // False after a rollback dropped the row.
-    bool in_backup = false;     // backup_values holds a valid copy.
+    std::size_t offset = 0;  // Into the partition's arenas, in floats.
+    bool live = false;       // False while on a free list.
+    bool in_backup = false;  // The backup arena holds a valid copy.
+    bool dirty = false;      // Listed in Partition::dirty.
   };
-  struct Shard {
+  static constexpr std::uint32_t kNoSlot = 0;  // Index entries hold slot + 1.
+  struct Partition {
     mutable std::mutex mu;
-    std::vector<float> values;         // Contiguous append-only arena.
-    std::vector<float> backup_values;  // Parallel arena, same offsets.
-    std::unordered_map<RowKey, std::uint32_t> index;  // key -> slot (live only).
+    std::unique_ptr<float[]> values;  // Arena, capacity fixed at construction.
+    std::unique_ptr<float[]> backup;  // Parallel arena, same offsets.
+    std::size_t capacity = 0;         // Floats per arena: every row it can hold.
+    std::size_t used = 0;             // Floats handed out to slots so far.
+    std::vector<std::vector<std::uint32_t>> index;       // [table][row / N].
     std::vector<Slot> slots;
-    // Dirty row sets, one per local partition (local index p / shards).
-    std::vector<std::unordered_set<RowKey>> dirty;
+    std::vector<std::vector<std::uint32_t>> free_slots;  // Per table.
+    std::vector<std::uint32_t> dirty;  // Slots changed since the last sync.
+    std::size_t live_rows = 0;
     std::atomic<std::uint64_t> version{0};
     Clock last_sync_clock = -1;
-    std::size_t live_rows = 0;
   };
 
-  bool fast() const { return options_.shards > 1; }
-  int LocalPartition(PartitionId p) const { return static_cast<int>(p) / options_.shards; }
-
-  Partition& PartitionFor(int table, std::int64_t row);
-  const Partition& PartitionFor(int table, std::int64_t row) const;
-  // Materializes the row if absent. Caller must hold the partition mutex.
-  std::vector<float>& RowLocked(Partition& p, int table, std::int64_t row) const;
-  // Fast path: materializes the row if absent and returns its slot
-  // index. Caller must hold the shard mutex.
-  std::uint32_t SlotLocked(Shard& s, RowKey key, int cols) const;
+  Partition& PartitionFor(int table, std::int64_t row) const;
+  // The row's slot, materializing it with its lazy-init value if absent.
+  // Caller must hold the partition mutex.
+  std::uint32_t SlotLocked(Partition& part, int table, std::int64_t row) const;
+  // Binds a fresh slot to an absent row and returns it; the row's values
+  // are left for the caller to write. Caller must hold the mutex.
+  std::uint32_t AllocSlotLocked(Partition& part, int table, std::int64_t row) const;
+  void MarkDirtyLocked(Partition& part, std::uint32_t slot) const;
+  // Adds `delta` (already checked to be `cols` wide) to the row and marks
+  // it dirty. Caller must hold the mutex.
+  void AddLocked(Partition& part, int table, std::int64_t row,
+                 std::span<const float> delta) const;
   float InitValueFor(RowKey key, int component) const;
-  // Sorted dirty keys of partition p. Caller must hold the lock.
-  std::vector<RowKey> SortedDirtyLocked(const std::unordered_set<RowKey>& dirty) const;
-  // Coalesced wire bytes of a sorted key set (0 when empty).
-  std::uint64_t CoalescedBytes(const std::vector<RowKey>& sorted_keys) const;
-  // Canonical per-partition row serialization shared by both engines
-  // (locks the owning partition/shard internally).
+  // Wire bytes of shipping the given rows (any order): the one place the
+  // shard count changes a number.
+  std::uint64_t WireBytes(std::vector<RowKey> keys) const;
+  // Keys of the given slots. Caller must hold the mutex.
+  std::vector<RowKey> KeysLocked(const Partition& part,
+                                 const std::vector<std::uint32_t>& slots) const;
+  // Canonical per-partition row serialization (locks the partition).
   void AppendPartitionCheckpoint(PartitionId p, std::vector<std::uint8_t>& blob) const;
+  // Upper bound on the shard's checkpoint size (every bound slot), so the
+  // blob is allocated once instead of doubling.
+  std::size_t ShardCheckpointBound(int shard) const;
+  // Drops every row, backup copy and dirty mark of the shard's partitions.
+  void ClearShard(int shard);
+  // Loads canonical rows; `shard >= 0` requires every row to belong to it.
+  void LoadRows(std::span<const std::uint8_t> blob, int shard);
+  // Counts a whole-shard event (backup snapshot, restore) once in the
+  // shard's version.
+  void BumpShardVersion(int shard);
 
   std::vector<TableSpec> tables_;
   int num_partitions_;
   std::uint64_t seed_;
   ModelOptions options_;
   bool backups_enabled_ = false;
-  std::vector<std::unique_ptr<Partition>> partitions_;  // Legacy engine.
-  std::vector<std::unique_ptr<Shard>> shards_;          // Striped engine.
-  // Legacy-path metadata, reported as shard 0 by ShardStateOf.
-  std::atomic<std::uint64_t> legacy_version_{0};
-  Clock legacy_sync_clock_ = -1;
+  std::vector<std::unique_ptr<Partition>> partitions_;
 
   // Cached observability handles (see SetObservability).
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -164,9 +164,9 @@ TEST(ModelStore, PartitionBytesCountsMaterializedRows) {
   EXPECT_EQ(m.PartitionBytes(0), m.RowBytes(0) + m.RowBytes(1));
 }
 
-// --- Lock-striped fast-path invariants (ModelOptions::shards >= 2) ---
-// Full cross-engine differentials live in tests/ps_differential_test.cc;
-// these pin the fast path's own contracts.
+// --- Shard-grouping invariants (ModelOptions::shards >= 2) ---
+// Full differentials against a reference store live in
+// tests/ps_differential_test.cc; these pin the grouping's own contracts.
 
 ModelStore Striped(int shards, int num_partitions = 8) {
   ModelOptions options;
@@ -241,14 +241,14 @@ TEST(ModelStore, ShardStateReflectsRowPlacement) {
   EXPECT_DOUBLE_EQ(m.ShardImbalance(), 4.0);
 }
 
-TEST(ModelStore, StripedRollbackRetiresArenaSlots) {
+TEST(ModelStore, StripedRollbackRecyclesArenaSlots) {
   ModelStore m = Striped(4);
   m.EnableBackups();
   const std::vector<float> delta(4, 2.0F);
   m.ApplyDelta(0, 7, delta);  // Materialized after the backup snapshot.
   ASSERT_EQ(m.MaterializedRows(), 1u);
   m.RollbackAllToBackup();
-  EXPECT_EQ(m.MaterializedRows(), 0u);  // Slot retired, row dropped.
+  EXPECT_EQ(m.MaterializedRows(), 0u);  // Row dropped, slot freed.
   std::vector<float> v;
   m.ReadRow(0, 7, v);  // Lazy re-init must give the pristine value.
   ModelStore clean(TwoTables(), 8, 7);
@@ -256,6 +256,152 @@ TEST(ModelStore, StripedRollbackRetiresArenaSlots) {
   clean.ReadRow(0, 7, fresh);
   EXPECT_EQ(v, fresh);
   EXPECT_EQ(m.MaterializedRows(), 1u);  // Re-materialized cleanly.
+}
+
+// --- Arena invariants (every shard count shares one layout) ---
+
+std::size_t ArenaFloats(const ModelStore& m) {
+  std::size_t floats = 0;
+  for (int s = 0; s < m.shards(); ++s) {
+    floats += m.ShardStateOf(s).arena_floats;
+  }
+  return floats;
+}
+
+TEST(ModelStore, ApplyRollbackChurnReusesArenaSlots) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ModelStore m = Striped(shards);
+    const std::vector<float> d0(4, 1.0F);
+    const std::vector<float> d1(8, -1.0F);
+    m.ApplyDelta(0, 3, d0);
+    m.EnableBackups();
+    // Rows 11 (table 0) and 4 (table 1) materialize after the last sync,
+    // so every rollback drops them.
+    m.ApplyDelta(0, 11, d0);
+    m.ApplyDelta(1, 4, d1);
+    m.RollbackAllToBackup();
+    const std::size_t floats = ArenaFloats(m);
+    const std::size_t rows = m.MaterializedRows();
+    ASSERT_EQ(rows, 1u);
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+      m.ApplyDelta(0, 11, d0);
+      m.ApplyDelta(1, 4, d1);
+      m.ApplyDelta(0, 3, d0);
+      m.RollbackAllToBackup();
+      ASSERT_EQ(ArenaFloats(m), floats) << "cycle " << cycle;
+      ASSERT_EQ(m.MaterializedRows(), rows) << "cycle " << cycle;
+    }
+    // The synced row kept its backup value; the dropped rows re-init.
+    ModelStore expect = Striped(shards);
+    expect.ApplyDelta(0, 3, d0);
+    std::vector<float> got;
+    std::vector<float> want;
+    m.ReadRow(0, 3, got);
+    expect.ReadRow(0, 3, want);
+    EXPECT_EQ(got, want);
+    m.ReadRow(1, 4, got);
+    expect.ReadRow(1, 4, want);
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(ModelStore, DenseIndexCoversRaggedTables) {
+  // 3 rows over 8 partitions (rows < num_partitions), 13 rows
+  // (13 % 8 != 0) and a single-row table, like LDA's totals.
+  const std::vector<TableSpec> tables = {
+      {0, 3, 2, 0.0F, 0.0F}, {1, 13, 3, 0.0F, 0.0F}, {2, 1, 5, 0.0F, 0.0F}};
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ModelOptions options;
+    options.shards = shards;
+    ModelStore m(tables, /*num_partitions=*/8, /*seed=*/7, options);
+    auto value = [](int t, std::int64_t r, int c) {
+      return static_cast<float>(100 * t + 10 * r + c);
+    };
+    std::size_t total_rows = 0;
+    for (const TableSpec& t : tables) {
+      for (std::int64_t r = 0; r < t.rows; ++r) {
+        std::vector<float> v(static_cast<std::size_t>(t.cols));
+        for (int c = 0; c < t.cols; ++c) {
+          v[static_cast<std::size_t>(c)] = value(t.table_id, r, c);
+        }
+        m.SetRow(t.table_id, r, v);
+        ++total_rows;
+      }
+    }
+    EXPECT_EQ(m.MaterializedRows(), total_rows);
+    const std::vector<std::uint8_t> blob = m.SerializeCheckpoint();
+    ModelStore restored(tables, 8, 7, options);
+    restored.RestoreCheckpoint(blob);
+    EXPECT_EQ(restored.SerializeCheckpoint(), blob);
+    for (const TableSpec& t : tables) {
+      std::vector<int> seen(static_cast<std::size_t>(t.rows), 0);
+      restored.ForEachRow(t.table_id, [&](std::int64_t r, std::span<const float> row) {
+        ASSERT_LT(r, t.rows);
+        ++seen[static_cast<std::size_t>(r)];
+        for (int c = 0; c < t.cols; ++c) {
+          EXPECT_EQ(row[static_cast<std::size_t>(c)], value(t.table_id, r, c));
+        }
+      });
+      for (std::int64_t r = 0; r < t.rows; ++r) {
+        EXPECT_EQ(seen[static_cast<std::size_t>(r)], 1) << "table " << t.table_id << " row " << r;
+        std::vector<float> v;
+        restored.ReadRow(t.table_id, r, v);
+        ASSERT_EQ(v.size(), static_cast<std::size_t>(t.cols));
+        EXPECT_EQ(v[0], value(t.table_id, r, 0));
+      }
+    }
+  }
+}
+
+TEST(ModelStore, ShardVersionMovesOnEveryMutation) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ModelStore m = Striped(shards);
+    // Row 5 of table 0 lives in partition 5, shard 5 % shards.
+    const PartitionId part = m.PartitionOf(0, 5);
+    const int shard = m.ShardOfPartition(part);
+    std::vector<std::uint64_t> last(static_cast<std::size_t>(m.shards()));
+    for (int s = 0; s < m.shards(); ++s) {
+      last[static_cast<std::size_t>(s)] = m.ShardVersion(s);
+    }
+    // Every shard's version is monotonic; the touched shard's moves.
+    auto expect_moved = [&](const char* what) {
+      SCOPED_TRACE(what);
+      for (int s = 0; s < m.shards(); ++s) {
+        const std::uint64_t v = m.ShardVersion(s);
+        EXPECT_GE(v, last[static_cast<std::size_t>(s)]);
+        EXPECT_EQ(m.ShardStateOf(s).version, v);
+        if (s == shard) {
+          EXPECT_GT(v, last[static_cast<std::size_t>(s)]);
+        }
+        last[static_cast<std::size_t>(s)] = v;
+      }
+    };
+    const std::vector<float> d(4, 1.0F);
+    m.ApplyDelta(0, 5, d);
+    expect_moved("apply");
+    const RowDelta batch[] = {{0, 5, std::span<const float>(d)}};
+    m.ApplyUpdates(batch);
+    expect_moved("batched apply");
+    m.SetRow(0, 5, d);
+    expect_moved("set");
+    m.EnableBackups();
+    expect_moved("enable backups");
+    m.ApplyDelta(0, 5, d);
+    m.SyncPartitionToBackup(part, /*at_clock=*/3);
+    expect_moved("sync");
+    EXPECT_EQ(m.ShardStateOf(shard).last_sync_clock, 3);
+    m.ApplyDelta(0, 5, d);
+    m.RollbackPartitionToBackup(part);
+    expect_moved("rollback");
+    const std::vector<std::uint8_t> blob = m.SerializeShardCheckpoint(shard);
+    m.RestoreShardCheckpoint(shard, blob);
+    expect_moved("shard restore");
+    m.RestoreCheckpoint(m.SerializeCheckpoint());
+    expect_moved("full restore");
+  }
 }
 
 }  // namespace

@@ -82,16 +82,16 @@ TEST(ObsTraceGolden, ShardedModelChaosRunsStayDeterministic) {
   mc.rank = 4;
   MatrixFactorizationApp app(&data, mc);
 
-  // The lock-striped fast path under chaos: same seed, same shard count
-  // => byte-identical traces (coalesced byte accounting and the striped
-  // arena introduce no nondeterminism).
+  // Four shards under chaos: same seed, same shard count => byte-identical
+  // traces (coalesced byte accounting and shard grouping introduce no
+  // nondeterminism).
   const std::string first = TraceOneRun(&app, /*seed=*/7, /*model_shards=*/4);
   const std::string second = TraceOneRun(&app, /*seed=*/7, /*model_shards=*/4);
   EXPECT_EQ(first, second);
 
-  // The engines account wire bytes differently (per-row framing vs
+  // Shard counts account wire bytes differently (per-row framing vs
   // coalesced batches), so virtual timings — and hence traces — must
-  // genuinely differ from the legacy run: the equality above is not
+  // genuinely differ from the one-shard run: the equality above is not
   // vacuously comparing the same code path.
   const std::string legacy = TraceOneRun(&app, /*seed=*/7, /*model_shards=*/1);
   EXPECT_NE(first, legacy);

@@ -1,12 +1,13 @@
-// Differential battery pinning the lock-striped parameter-store fast
-// path (ModelOptions::shards >= 2) against the legacy single-shard
-// engine. The legacy path is the oracle: for any op stream and any
-// elasticity scenario, every shard count must produce bit-identical
-// model state (canonical checkpoint bytes), identical clock tables, and
-// identical coalesced dirty-row payloads. Wire-byte *accounting*
-// deliberately differs between engines (per-row framing vs coalesced
-// batches), so the comparisons here are over state, never over durations
-// or fabric byte totals.
+// Differential battery for the parameter store. Store level: a seeded op
+// stream runs in lockstep on ModelStores of every shard count and on a
+// map-based ReferenceStore (tests/ps_reference_store.h), the oracle; every
+// store must match it in canonical checkpoint bytes, materialized rows
+// and coalesced dirty-row payloads. Runtime level: a full elasticity
+// scenario at shards=1 and shards=N must keep bit-identical model state,
+// identical clock tables and identical dirty payloads. Wire-byte
+// *accounting* deliberately differs between shard counts (per-row framing
+// vs coalesced batches), so the runtime comparisons are over state, never
+// over durations or fabric byte totals.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "src/apps/datasets.h"
 #include "src/apps/mf.h"
 #include "src/ps/model.h"
+#include "tests/ps_reference_store.h"
 
 namespace proteus {
 namespace {
@@ -27,7 +29,8 @@ constexpr int kShardCounts[] = {1, 2, 4, 8};
 
 class StoreFleet {
  public:
-  StoreFleet(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed) {
+  StoreFleet(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed)
+      : oracle_(tables, num_partitions, seed) {
     for (const int shards : kShardCounts) {
       ModelOptions options;
       options.shards = shards;
@@ -38,8 +41,10 @@ class StoreFleet {
   ModelStore& store(std::size_t i) { return *stores_[i]; }
   std::size_t size() const { return stores_.size(); }
 
+  // Applies `fn` to the oracle first, then to every ModelStore.
   template <typename Fn>
   void ForEach(Fn&& fn) {
+    fn(oracle_);
     for (auto& s : stores_) {
       fn(*s);
     }
@@ -49,20 +54,21 @@ class StoreFleet {
   // same materialized-row count, and encode the same per-partition dirty
   // payloads.
   void ExpectIdentical(const char* where) {
-    const std::vector<std::uint8_t> oracle = stores_[0]->SerializeCheckpoint();
-    const std::size_t oracle_rows = stores_[0]->MaterializedRows();
-    for (std::size_t i = 1; i < stores_.size(); ++i) {
+    const std::vector<std::uint8_t> oracle = oracle_.SerializeCheckpoint();
+    const std::size_t oracle_rows = oracle_.MaterializedRows();
+    for (std::size_t i = 0; i < stores_.size(); ++i) {
       SCOPED_TRACE(testing::Message() << where << ": shards=" << stores_[i]->shards());
       EXPECT_EQ(stores_[i]->SerializeCheckpoint(), oracle);
       EXPECT_EQ(stores_[i]->MaterializedRows(), oracle_rows);
-      for (PartitionId p = 0; p < stores_[0]->num_partitions(); ++p) {
-        EXPECT_EQ(stores_[i]->EncodeDirtyRows(p), stores_[0]->EncodeDirtyRows(p))
+      for (PartitionId p = 0; p < oracle_.num_partitions(); ++p) {
+        EXPECT_EQ(stores_[i]->EncodeDirtyRows(p), oracle_.EncodeDirtyRows(p))
             << "partition " << p;
       }
     }
   }
 
  private:
+  ReferenceStore oracle_;
   std::vector<std::unique_ptr<ModelStore>> stores_;
 };
 
@@ -91,10 +97,10 @@ TEST(PsDifferentialTest, OpStreamBitIdenticalAcrossShardCounts) {
       const int t = static_cast<int>(rng() % 2);
       const std::int64_t row = rand_row(tables[static_cast<std::size_t>(t)].rows);
       const std::vector<float> d = rand_delta(tables[static_cast<std::size_t>(t)].cols);
-      fleet.ForEach([&](ModelStore& s) { s.ApplyDelta(t, row, d); });
+      fleet.ForEach([&](auto& s) { s.ApplyDelta(t, row, d); });
     }
     // ... a batched apply (including duplicate rows, which must sum in
-    // input order in both engines) ...
+    // input order) ...
     std::vector<std::vector<float>> payloads;
     std::vector<RowDelta> batch;
     for (int i = 0; i < 20; ++i) {
@@ -103,16 +109,16 @@ TEST(PsDifferentialTest, OpStreamBitIdenticalAcrossShardCounts) {
       payloads.push_back(rand_delta(tables[static_cast<std::size_t>(t)].cols));
       batch.push_back({t, row, std::span<const float>(payloads.back())});
     }
-    fleet.ForEach([&](ModelStore& s) { s.ApplyUpdates(batch); });
+    fleet.ForEach([&](auto& s) { s.ApplyUpdates(batch); });
     // ... some overwrites and reads (reads materialize rows).
     for (int i = 0; i < 10; ++i) {
       const int t = static_cast<int>(rng() % 2);
       const std::int64_t row = rand_row(tables[static_cast<std::size_t>(t)].rows);
       if (i % 2 == 0) {
         const std::vector<float> v = rand_delta(tables[static_cast<std::size_t>(t)].cols);
-        fleet.ForEach([&](ModelStore& s) { s.SetRow(t, row, v); });
+        fleet.ForEach([&](auto& s) { s.SetRow(t, row, v); });
       } else {
-        fleet.ForEach([&](ModelStore& s) {
+        fleet.ForEach([&](auto& s) {
           std::vector<float> out;
           s.ReadRow(t, row, out);
         });
@@ -122,22 +128,22 @@ TEST(PsDifferentialTest, OpStreamBitIdenticalAcrossShardCounts) {
 
     switch (round) {
       case 0:
-        fleet.ForEach([](ModelStore& s) { s.EnableBackups(); });
+        fleet.ForEach([](auto& s) { s.EnableBackups(); });
         break;
       case 1:  // Partial sync, then more dirt, then rollback.
-        fleet.ForEach([](ModelStore& s) {
+        fleet.ForEach([](auto& s) {
           for (PartitionId p = 0; p < s.num_partitions(); p += 2) {
             s.SyncPartitionToBackup(p, /*at_clock=*/10 + p);
           }
         });
         break;
       case 2:
-        fleet.ForEach([](ModelStore& s) { s.RollbackAllToBackup(); });
+        fleet.ForEach([](auto& s) { s.RollbackAllToBackup(); });
         fleet.ExpectIdentical("after rollback");
         break;
       case 3: {  // Full checkpoint -> restore round trip.
         std::vector<std::uint8_t> blob;
-        fleet.ForEach([&blob](ModelStore& s) {
+        fleet.ForEach([&blob](auto& s) {
           if (blob.empty()) {
             blob = s.SerializeCheckpoint();
           }
@@ -149,7 +155,7 @@ TEST(PsDifferentialTest, OpStreamBitIdenticalAcrossShardCounts) {
         break;
       }
       case 4:  // Sync everything so round 5 rolls back to a rich backup.
-        fleet.ForEach([](ModelStore& s) {
+        fleet.ForEach([](auto& s) {
           for (PartitionId p = 0; p < s.num_partitions(); ++p) {
             s.SyncPartitionToBackup(p, /*at_clock=*/50);
           }
@@ -159,7 +165,7 @@ TEST(PsDifferentialTest, OpStreamBitIdenticalAcrossShardCounts) {
         break;
     }
   }
-  fleet.ForEach([](ModelStore& s) { s.RollbackAllToBackup(); });
+  fleet.ForEach([](auto& s) { s.RollbackAllToBackup(); });
   fleet.ExpectIdentical("final rollback");
 }
 
@@ -190,9 +196,12 @@ TEST(PsDifferentialTest, ShardCheckpointsReassembleTheFullModel) {
   EXPECT_EQ(shard_bytes, full.size());  // Shard blobs partition the model.
   EXPECT_EQ(same.SerializeCheckpoint(), full);
 
-  ModelStore legacy(TwoTables(), 10, /*seed=*/3, ModelOptions{});
-  legacy.RestoreCheckpoint(full);
-  EXPECT_EQ(legacy.SerializeCheckpoint(), full);
+  ModelStore one_shard(TwoTables(), 10, /*seed=*/3, ModelOptions{});
+  one_shard.RestoreCheckpoint(full);
+  EXPECT_EQ(one_shard.SerializeCheckpoint(), full);
+  ReferenceStore oracle(TwoTables(), 10, /*seed=*/3);
+  oracle.RestoreCheckpoint(full);
+  EXPECT_EQ(oracle.SerializeCheckpoint(), full);
 }
 
 TEST(PsDifferentialTest, ShardMetadataTracksSyncsAndMutations) {

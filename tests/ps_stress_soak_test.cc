@@ -3,8 +3,8 @@
 // TSan suites, run by the dedicated soak lane). Same invariants — no
 // torn rows, monotonic shard versions, exact contended sums, consistent
 // concurrent snapshots — at an order of magnitude more work, enough for
-// TSan/ASan to see rare interleavings (arena growth racing readers,
-// rollback racing batched applies).
+// TSan/ASan to see rare interleavings (row materialization racing
+// readers, rollback racing batched applies).
 #include <gtest/gtest.h>
 
 #include <atomic>

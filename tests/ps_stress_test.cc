@@ -1,4 +1,4 @@
-// Concurrency stress battery for the lock-striped ModelStore. Runs under
+// Concurrency stress battery for ModelStore's per-partition locks. Runs under
 // the TSan preset/CI job (cmake --preset tsan) as well as the default
 // and ASan builds. Invariants:
 //   - no torn rows: writers add uniform-constant deltas to rows whose
@@ -164,6 +164,7 @@ TEST(PsStressTest, ManyShardsManyWriters) {
   RunStress(/*shards=*/8, /*writers=*/8, /*iters=*/30, /*rows_per_writer=*/32);
 }
 
+// One shard: same per-partition locks, a single version/checkpoint group.
 TEST(PsStressTest, LegacyEngineSameInvariants) {
   RunStress(/*shards=*/1, /*writers=*/4, /*iters=*/40, /*rows_per_writer=*/48);
 }
