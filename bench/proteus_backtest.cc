@@ -112,8 +112,13 @@ int Main(int argc, char** argv) {
   }
   config.scheme = bench::PaperSchemeConfig();
 
-  const bench::MarketEnv env =
-      trace_csv.empty() ? bench::MakeMarketEnv() : bench::MakeMarketEnvFromCsv(trace_csv);
+  bench::MarketEnv env;
+  if (trace_csv.empty()) {
+    env = bench::MakeMarketEnv();
+  } else if (std::string error; !bench::MakeMarketEnvFromCsv(trace_csv, &env, &error)) {
+    std::fprintf(stderr, "proteus_backtest: bad --trace_csv: %s\n", error.c_str());
+    return 2;
+  }
   config.eval_begin = env.eval_begin;
   config.eval_end = env.eval_end;
 

@@ -195,16 +195,16 @@ MarketEnv MakeMarketEnv(std::uint64_t seed) {
   return env;
 }
 
-MarketEnv MakeMarketEnvFromCsv(const std::string& path) {
-  MarketEnv env;
-  env.catalog = InstanceTypeCatalog::Default();
-  env.traces = TraceStore::ReadFile(path);
-  PROTEUS_CHECK(!env.traces.empty()) << "no traces in " << path;
+bool MakeMarketEnvFromCsv(const std::string& path, MarketEnv* env, std::string* error) {
+  TraceStore traces;
+  if (!TraceStore::ReadFile(path, &traces, error)) {
+    return false;
+  }
   SimTime begin = 0.0;
   SimTime end = 0.0;
   bool first = true;
-  for (const MarketKey& key : env.traces.Keys()) {
-    const PriceSeries& series = env.traces.Get(key);
+  for (const MarketKey& key : traces.Keys()) {
+    const PriceSeries& series = traces.Get(key);
     if (first || series.start_time() < begin) {
       begin = series.start_time();
     }
@@ -213,12 +213,17 @@ MarketEnv MakeMarketEnvFromCsv(const std::string& path) {
     }
     first = false;
   }
-  PROTEUS_CHECK_GT(end, begin) << "degenerate trace horizon in " << path;
+  if (end <= begin) {
+    *error = path + ": trace spans no time (every price point is at one instant)";
+    return false;
+  }
   const SimTime mid = begin + (end - begin) / 2;
-  env.estimator.Train(env.traces, begin, mid);
-  env.eval_begin = mid;
-  env.eval_end = end;
-  return env;
+  env->catalog = InstanceTypeCatalog::Default();
+  env->traces = std::move(traces);
+  env->estimator.Train(env->traces, begin, mid);
+  env->eval_begin = mid;
+  env->eval_end = end;
+  return true;
 }
 
 SchemeConfig PaperSchemeConfig() {

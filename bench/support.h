@@ -180,9 +180,10 @@ MarketEnv MakeMarketEnv(std::uint64_t seed = 2016);
 // MarketEnv from a stored trace CSV (columns zone,type,time_sec,price,
 // see TraceStore::ReadFile). Mirrors MakeMarketEnv's split: the
 // estimator trains on the first half of the recorded horizon and the
-// evaluation span is the second half. CHECK-fails on a missing/empty
-// file.
-MarketEnv MakeMarketEnvFromCsv(const std::string& path);
+// evaluation span is the second half. Returns false and sets *error
+// (naming the file, and the line for a malformed row) when the file is
+// missing, malformed or spans no time.
+bool MakeMarketEnvFromCsv(const std::string& path, MarketEnv* env, std::string* error);
 
 // Scheme config shared by the cost benches (Cluster-A-sized jobs).
 SchemeConfig PaperSchemeConfig();

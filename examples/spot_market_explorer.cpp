@@ -6,6 +6,7 @@
 //   Without an argument, synthesizes 60 days of traces for two zones.
 //   With one, loads a CSV written by TraceStore::WriteFile.
 #include <cstdio>
+#include <string>
 
 #include "src/bidbrain/eviction_estimator.h"
 #include "src/common/table.h"
@@ -18,9 +19,9 @@ int main(int argc, char** argv) {
   const InstanceTypeCatalog catalog = InstanceTypeCatalog::Default();
   TraceStore traces;
   if (argc > 1) {
-    traces = TraceStore::ReadFile(argv[1]);
-    if (traces.empty()) {
-      std::fprintf(stderr, "failed to load %s\n", argv[1]);
+    std::string error;
+    if (!TraceStore::ReadFile(argv[1], &traces, &error)) {
+      std::fprintf(stderr, "failed to load traces: %s\n", error.c_str());
       return 1;
     }
     std::printf("loaded traces from %s\n", argv[1]);

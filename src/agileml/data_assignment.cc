@@ -101,12 +101,6 @@ std::vector<BlockMove> DataAssignment::Rebalance(const std::vector<NodeId>& work
   return moves;
 }
 
-void DataAssignment::MarkLoaded(int block, NodeId node) {
-  PROTEUS_CHECK_GE(block, 0);
-  PROTEUS_CHECK_LT(block, num_blocks_);
-  loaded_[static_cast<std::size_t>(block)].insert(node);
-}
-
 bool DataAssignment::IsLoaded(int block, NodeId node) const {
   return loaded_[static_cast<std::size_t>(block)].count(node) > 0;
 }

@@ -51,8 +51,6 @@ class DataAssignment {
   // moves performed.
   std::vector<BlockMove> Rebalance(const std::vector<NodeId>& workers);
 
-  // Marks a block as memory-resident on a node (load finished).
-  void MarkLoaded(int block, NodeId node);
   bool IsLoaded(int block, NodeId node) const;
 
   // Drops a node entirely (eviction/failure): its loaded copies vanish.

@@ -10,6 +10,12 @@
 namespace proteus {
 
 namespace {
+
+// Fraction of per-node communication that overlaps with compute
+// (write-back caches send updates asynchronously during the clock;
+// §2.1). Per-node time = max(compute, comm) + (1-overlap)*min(...).
+constexpr double kCommComputeOverlap = 0.85;
+
 std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
 }
@@ -95,16 +101,6 @@ void AgileMLRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry*
 }
 
 void AgileMLRuntime::SetLedger(obs::EventLedger* ledger) { ledger_ = ledger; }
-
-const NodeInfo& AgileMLRuntime::Node(NodeId id) const {
-  for (const auto& node : nodes_) {
-    if (node.id == id) {
-      return node;
-    }
-  }
-  PROTEUS_LOG(Fatal) << "unknown node " << id;
-  __builtin_unreachable();
-}
 
 std::vector<NodeInfo> AgileMLRuntime::ReadyNodes() const {
   std::vector<NodeInfo> out;
@@ -954,7 +950,7 @@ IterationReport AgileMLRuntime::RunClock() {
     }
     const SimDuration comm = fabric_.RoundCommTime(node.id);
     const SimDuration total = std::max(compute, comm) +
-                              (1.0 - config_.comm_compute_overlap) * std::min(compute, comm);
+                              (1.0 - kCommComputeOverlap) * std::min(compute, comm);
     report.max_compute = std::max(report.max_compute, compute);
     report.max_comm = std::max(report.max_comm, comm);
     if (total > report.bottleneck_time) {
@@ -978,7 +974,7 @@ IterationReport AgileMLRuntime::RunClock() {
   // bisection-floor excess is transport. The two sides reassemble into
   // bottleneck_time exactly — the analyzer's 100%-attribution invariant.
   {
-    const double residue = 1.0 - config_.comm_compute_overlap;
+    const double residue = 1.0 - kCommComputeOverlap;
     SimDuration compute_part = gated_by_compute ? gate_compute : residue * gate_compute;
     compute_part = std::min(compute_part, report.bottleneck_time);
     report.critical_compute = compute_part;

@@ -63,10 +63,6 @@ struct AgileMLConfig {
   double storage_bandwidth = 6.25e7;
   // Fixed per-clock synchronization overhead (barrier + control RPCs).
   SimDuration barrier_overhead = 0.05;
-  // Fraction of per-node communication that overlaps with compute
-  // (write-back caches send updates asynchronously during the clock;
-  // §2.1). Per-node time = max(compute, comm) + (1-overlap)*min(...).
-  double comm_compute_overlap = 0.85;
   // Active->Backup streaming happens every this many clocks.
   int backup_sync_every = 1;
   // Input data divided into this many blocks for ownership tracking.
@@ -78,10 +74,10 @@ struct AgileMLConfig {
   int minibatches_per_pass = 1;
   // Wire size of one input item (for load-time modeling).
   double bytes_per_item = 64.0;
-  // Parameter-store engine selection (ModelOptions::shards picks the
-  // legacy per-partition path or the lock-striped arena fast path; the
-  // fast path also switches worker->server push and active->backup sync
-  // accounting to coalesced delta batches).
+  // Parameter-store options. ModelOptions::shards groups partitions for
+  // checkpoints and shard metadata; at shards >= 2 worker->server push
+  // and active->backup sync are also accounted as coalesced delta
+  // batches instead of per-row messages.
   ModelOptions model;
   RolePlannerConfig planner;
   // Heartbeat/lease failure detection (off by default; when enabled,
@@ -281,7 +277,6 @@ class AgileMLRuntime {
     Clock clock = 0;
   };
 
-  const NodeInfo& Node(NodeId id) const;
   bool IsReady(NodeId id) const { return ready_.count(id) > 0; }
 
   // Shared body of Fail / FailWithDurableRestore.

@@ -19,11 +19,9 @@ struct AppProfile {
   SimDuration lambda = 60 * kSecond;
 };
 
-// Profiles used in the evaluation: AgileML recovers from evictions in
-// seconds (partition moves), while a checkpointing system loses the work
-// since the last checkpoint and pays a full restart.
+// AgileML's profile: it recovers from evictions in seconds (partition
+// moves) and incorporates new machines in the background.
 AppProfile AgileMLProfile();
-AppProfile CheckpointingProfile();
 
 }  // namespace proteus
 

@@ -72,12 +72,6 @@ std::vector<AllocationPlan> BidBrain::PlansFor(SimTime now,
   return plans;
 }
 
-double BidBrain::FootprintCostPerWork(SimTime now,
-                                      const std::vector<LiveAllocation>& live) const {
-  return CostModel::ExpectedCostPerWork(PlansFor(now, live), config_.app,
-                                        /*footprint_changing=*/false);
-}
-
 std::vector<BidAction> BidBrain::Decide(SimTime now,
                                         const std::vector<LiveAllocation>& live) const {
   std::vector<BidAction> actions;

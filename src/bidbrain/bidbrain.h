@@ -66,9 +66,6 @@ class BidBrain : public AcquisitionPolicy {
   std::vector<BidAction> Decide(SimTime now,
                                 const std::vector<LiveAllocation>& live) const override;
 
-  // Expected cost-per-work of the given live footprint (diagnostics).
-  double FootprintCostPerWork(SimTime now, const std::vector<LiveAllocation>& live) const;
-
   const BidBrainConfig& config() const { return config_; }
 
  private:

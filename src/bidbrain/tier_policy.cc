@@ -134,10 +134,6 @@ TierSplit TieredAcquisitionPolicy::ComputeSplit(SimTime now) const {
   return split;
 }
 
-int TieredAcquisitionPolicy::ServerlessSlotTarget(SimTime now) const {
-  return ComputeSplit(now).serverless_vcpus / config_.serverless_slot_vcpus;
-}
-
 std::vector<BidAction> TieredAcquisitionPolicy::Decide(
     SimTime now, const std::vector<LiveAllocation>& live) const {
   const TierSplit split = ComputeSplit(now);

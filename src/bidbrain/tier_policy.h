@@ -20,8 +20,7 @@
 //
 // Decide() emits spot-market actions only (the transient share), so the
 // policy is backtestable through the existing BacktestEngine unchanged;
-// drivers that own a serverless tier (ProteusRuntime) read the
-// recommended slot count via ComputeSplit()/ServerlessSlotTarget().
+// ComputeSplit() reports the full three-tier split.
 #ifndef SRC_BIDBRAIN_TIER_POLICY_H_
 #define SRC_BIDBRAIN_TIER_POLICY_H_
 
@@ -91,11 +90,6 @@ class TieredAcquisitionPolicy : public AcquisitionPolicy {
 
   // The full three-way split at `now` given the live footprint.
   TierSplit ComputeSplit(SimTime now) const;
-
-  // Convenience: the serverless share expressed in slots (vcpus /
-  // slot_vcpus, rounded down). ProteusRuntime feeds this into
-  // serverless_target-style admission.
-  int ServerlessSlotTarget(SimTime now) const;
 
   const TieredPolicyConfig& config() const { return config_; }
 

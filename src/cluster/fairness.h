@@ -14,15 +14,6 @@ namespace cluster {
 // return 1.0 (nothing is unfairly divided).
 double JainIndex(const std::vector<double>& values);
 
-// Utilitarian welfare: the sum. Companion to Jain for the
-// efficiency-vs-fairness tradeoff tables.
-double UtilitarianWelfare(const std::vector<double>& values);
-
-// Nash welfare (sum of log(1 + x)): rewards spreading allocation across
-// claimants; a mechanism that starves one tenant scores poorly even if
-// the total is unchanged.
-double NashWelfare(const std::vector<double>& values);
-
 }  // namespace cluster
 }  // namespace proteus
 

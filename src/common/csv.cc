@@ -63,30 +63,22 @@ CsvTable ParseCsv(const std::string& text) {
   CsvTable table;
   std::istringstream in(text);
   std::string line;
-  bool have_header = false;
+  int line_number = 0;
   while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
+    ++line_number;
+    if (line.empty() || line == "\r" || line[0] == '#') {
       continue;
     }
     auto cells = SplitLine(line);
-    if (!have_header) {
+    if (table.header_line == 0) {
       table.headers = std::move(cells);
-      have_header = true;
+      table.header_line = line_number;
     } else {
       table.rows.push_back(std::move(cells));
+      table.row_lines.push_back(line_number);
     }
   }
   return table;
-}
-
-CsvTable ReadCsvFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    return {};
-  }
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return ParseCsv(buf.str());
 }
 
 }  // namespace proteus

@@ -27,13 +27,14 @@ class CsvWriter {
 struct CsvTable {
   std::vector<std::string> headers;
   std::vector<std::vector<std::string>> rows;
+  // 1-based source line of the header and of each row, for error
+  // messages.
+  int header_line = 0;
+  std::vector<int> row_lines;
 };
 
 // Parses CSV text. First non-comment line is the header.
 CsvTable ParseCsv(const std::string& text);
-
-// Reads and parses a CSV file. Returns empty table if the file is missing.
-CsvTable ReadCsvFile(const std::string& path);
 
 }  // namespace proteus
 

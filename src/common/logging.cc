@@ -11,11 +11,11 @@ namespace proteus {
 namespace {
 
 // The PROTEUS_LOG_LEVEL environment variable is consulted exactly once,
-// at the first logging call (or Set/GetLogLevel), so tests can set it
-// before any logging happens; later SetLogLevel calls override it.
-std::atomic<int>& MinLevel() {
-  static std::atomic<int> level{static_cast<int>(
-      ParseLogLevel(std::getenv("PROTEUS_LOG_LEVEL")).value_or(LogLevel::kInfo))};
+// at the first logging call, so tests can set it before any logging
+// happens.
+LogLevel MinLevel() {
+  static const LogLevel level =
+      ParseLogLevel(std::getenv("PROTEUS_LOG_LEVEL")).value_or(LogLevel::kInfo);
   return level;
 }
 
@@ -40,14 +40,10 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { MinLevel().store(static_cast<int>(level)); }
-
 void SetFatalHook(void (*hook)(const char* message, void* arg), void* arg) {
   g_fatal_hook_arg.store(arg);
   g_fatal_hook.store(hook);
 }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(MinLevel().load()); }
 
 std::optional<LogLevel> ParseLogLevel(const char* value) {
   if (value == nullptr || *value == '\0') {
@@ -79,7 +75,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(leve
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) >= MinLevel().load() || level_ == LogLevel::kFatal) {
+  if (level_ >= MinLevel() || level_ == LogLevel::kFatal) {
     stream_ << "\n";
     std::fputs(stream_.str().c_str(), stderr);
     std::fflush(stderr);

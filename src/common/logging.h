@@ -18,12 +18,10 @@ enum class LogLevel : int {
   kFatal = 4,
 };
 
-// Process-wide minimum level; messages below it are discarded. The
-// initial level comes from the PROTEUS_LOG_LEVEL environment variable,
-// read once at first use (see ParseLogLevel for accepted spellings;
-// unset or unparsable falls back to kInfo). SetLogLevel overrides it.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+// Messages below the process-wide minimum level are discarded. The
+// level comes from the PROTEUS_LOG_LEVEL environment variable, read once
+// at the first logging call (see ParseLogLevel for accepted spellings;
+// unset or unparsable falls back to kInfo).
 
 // Parses a level name ("debug", "info", "warning"/"warn", "error",
 // "fatal"; case-insensitive) or a numeric value 0-4. Returns nullopt

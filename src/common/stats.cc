@@ -83,19 +83,4 @@ void SampleStats::EnsureSorted() const {
   }
 }
 
-void RunningStats::Add(double value) {
-  if (n_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++n_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (value - mean_);
-}
-
-double RunningStats::StdDev() const { return std::sqrt(Variance()); }
-
 }  // namespace proteus

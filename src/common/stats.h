@@ -41,27 +41,6 @@ class SampleStats {
   mutable bool sorted_valid_ = false;
 };
 
-// Online mean/variance via Welford's algorithm, for streaming contexts
-// where storing samples would be wasteful.
-class RunningStats {
- public:
-  void Add(double value);
-
-  std::size_t count() const { return n_; }
-  double Mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double Variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0; }
-  double StdDev() const;
-  double Min() const { return min_; }
-  double Max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace proteus
 
 #endif  // SRC_COMMON_STATS_H_

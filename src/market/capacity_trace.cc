@@ -26,14 +26,6 @@ std::size_t CapacityTrace::IndexAt(SimTime t) const {
 
 int CapacityTrace::SlotsAt(SimTime t) const { return points_[IndexAt(t)].slots; }
 
-int CapacityTrace::MinSlots(SimTime from, SimTime to) const {
-  int best = SlotsAt(from);
-  for (std::size_t i = IndexAt(from) + 1; i < points_.size() && points_[i].time <= to; ++i) {
-    best = std::min(best, points_[i].slots);
-  }
-  return best;
-}
-
 std::optional<SimTime> CapacityTrace::FirstTimeBelow(int needed, SimTime from,
                                                      SimTime horizon) const {
   if (SlotsAt(from) < needed) {
@@ -126,20 +118,6 @@ EvictionStats CapacityEvictionModel::Estimate(const MarketKey& market, Money bid
   (void)market;     // One pool: all "markets" share the cluster's slack.
   (void)bid_delta;  // No auction in a fixed-price cluster.
   return stats_;
-}
-
-TraceStore MakePrivateClusterPriceStore(const InstanceTypeCatalog& catalog,
-                                        const std::string& zone, Money rate_per_vcpu_hour,
-                                        SimDuration horizon) {
-  TraceStore store;
-  for (const auto& type : catalog.types()) {
-    PriceSeries series;
-    series.Append(0.0, rate_per_vcpu_hour * type.vcpus);
-    // A second point pins the horizon so end_time() is meaningful.
-    series.Append(horizon, rate_per_vcpu_hour * type.vcpus);
-    store.Put({zone, type.name}, series);
-  }
-  return store;
 }
 
 }  // namespace proteus

@@ -39,8 +39,6 @@ class CapacityTrace {
   explicit CapacityTrace(std::vector<CapacityPoint> points);
 
   int SlotsAt(SimTime t) const;
-  // Minimum capacity over [from, to].
-  int MinSlots(SimTime from, SimTime to) const;
   // Earliest time in [from, horizon] at which capacity drops below
   // `needed`; nullopt if it never does.
   std::optional<SimTime> FirstTimeBelow(int needed, SimTime from, SimTime horizon) const;
@@ -91,13 +89,6 @@ class CapacityEvictionModel : public EvictionModel {
  private:
   EvictionStats stats_;
 };
-
-// Builds a constant-price TraceStore for a private cluster: every
-// "market" (one per slot-type) is priced at `rate` forever. BidBrain
-// consumes it unchanged.
-TraceStore MakePrivateClusterPriceStore(const InstanceTypeCatalog& catalog,
-                                        const std::string& zone, Money rate_per_vcpu_hour,
-                                        SimDuration horizon);
 
 }  // namespace proteus
 

@@ -58,14 +58,6 @@ std::optional<SimTime> PriceSeries::FirstTimeAbove(Money bid, SimTime from, SimT
   return std::nullopt;
 }
 
-Money PriceSeries::MinPrice(SimTime from, SimTime to) const {
-  Money best = PriceAt(from);
-  for (std::size_t i = IndexAt(from) + 1; i < points_.size() && points_[i].time <= to; ++i) {
-    best = std::min(best, points_[i].price);
-  }
-  return best;
-}
-
 Money PriceSeries::MaxPrice(SimTime from, SimTime to) const {
   Money best = PriceAt(from);
   for (std::size_t i = IndexAt(from) + 1; i < points_.size() && points_[i].time <= to; ++i) {

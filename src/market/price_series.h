@@ -47,10 +47,9 @@ class PriceSeries {
   // price already exceeds the bid at `from`, returns `from`.
   std::optional<SimTime> FirstTimeAbove(Money bid, SimTime from, SimTime horizon) const;
 
-  // Minimum / maximum price over [from, to]. Change points outside the
-  // recorded span don't exist, so a range hanging past end_time() only
-  // sees the final price.
-  Money MinPrice(SimTime from, SimTime to) const;
+  // Maximum price over [from, to]. Change points outside the recorded
+  // span don't exist, so a range hanging past end_time() only sees the
+  // final price.
   Money MaxPrice(SimTime from, SimTime to) const;
 
   // Time-weighted average price over [from, to]. Requires to > from;

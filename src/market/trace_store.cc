@@ -1,5 +1,7 @@
 #include "src/market/trace_store.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -57,20 +59,61 @@ std::string TraceStore::ToCsv() const {
   return writer.Render();
 }
 
-TraceStore TraceStore::FromCsv(const std::string& text) {
-  TraceStore store;
+namespace {
+
+// Parses a whole cell as a finite number.
+bool ParseFinite(const std::string& cell, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(cell.c_str(), &end);
+  return !cell.empty() && end == cell.c_str() + cell.size() && std::isfinite(*value);
+}
+
+}  // namespace
+
+bool TraceStore::FromCsv(const std::string& text, const std::string& source, TraceStore* out,
+                         std::string* error) {
   const CsvTable table = ParseCsv(text);
-  std::map<MarketKey, std::vector<PricePoint>> grouped;
-  for (const auto& row : table.rows) {
-    if (row.size() != 4) {
-      continue;
-    }
-    grouped[{row[0], row[1]}].push_back({std::stod(row[2]), std::stod(row[3])});
+  const auto fail = [&](int line, const std::string& reason) {
+    *error = source + ":" + std::to_string(line) + ": " + reason;
+    return false;
+  };
+  if (table.header_line == 0) {
+    *error = source + ": empty trace file";
+    return false;
   }
+  if (table.headers != std::vector<std::string>{"zone", "type", "time_sec", "price"}) {
+    return fail(table.header_line, "expected header zone,type,time_sec,price");
+  }
+  if (table.rows.empty()) {
+    return fail(table.header_line, "no price rows after the header");
+  }
+  std::map<MarketKey, std::vector<PricePoint>> grouped;
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const std::vector<std::string>& row = table.rows[i];
+    const int line = table.row_lines[i];
+    if (row.size() != 4) {
+      return fail(line, "expected 4 cells, got " + std::to_string(row.size()));
+    }
+    PricePoint point;
+    if (!ParseFinite(row[2], &point.time)) {
+      return fail(line, "time_sec '" + row[2] + "' is not a finite number");
+    }
+    if (!ParseFinite(row[3], &point.price) || point.price < 0.0) {
+      return fail(line, "price '" + row[3] + "' is not a finite non-negative number");
+    }
+    std::vector<PricePoint>& points = grouped[{row[0], row[1]}];
+    if (!points.empty() && point.time <= points.back().time) {
+      return fail(line, "time_sec " + row[2] + " does not increase for " + row[0] + "/" +
+                            row[1]);
+    }
+    points.push_back(point);
+  }
+  TraceStore store;
   for (auto& [key, points] : grouped) {
     store.Put(key, PriceSeries(std::move(points)));
   }
-  return store;
+  *out = std::move(store);
+  return true;
 }
 
 bool TraceStore::WriteFile(const std::string& path) const {
@@ -83,14 +126,15 @@ bool TraceStore::WriteFile(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-TraceStore TraceStore::ReadFile(const std::string& path) {
+bool TraceStore::ReadFile(const std::string& path, TraceStore* out, std::string* error) {
   std::ifstream f(path);
   if (!f) {
-    return {};
+    *error = path + ": cannot open";
+    return false;
   }
   std::ostringstream buf;
   buf << f.rdbuf();
-  return FromCsv(buf.str());
+  return FromCsv(buf.str(), path, out, error);
 }
 
 }  // namespace proteus

@@ -35,7 +35,6 @@ class TraceStore {
   const PriceSeries& Get(const MarketKey& key) const;
 
   std::vector<MarketKey> Keys() const;
-  bool empty() const { return traces_.empty(); }
 
   // Builds a store covering `zones` x `catalog types`, each generated
   // independently (the paper notes markets "move relatively
@@ -44,11 +43,16 @@ class TraceStore {
                                       const std::vector<std::string>& zones, SimDuration duration,
                                       const SyntheticTraceConfig& config, Rng& rng);
 
-  // CSV persistence: columns zone,type,time_sec,price.
+  // CSV persistence: header zone,type,time_sec,price. FromCsv and
+  // ReadFile validate every row (four cells, finite numbers, a
+  // non-negative price, time strictly increasing per market) and reject
+  // an input without rows. On failure they leave *out untouched and set
+  // *error to "<source>:<line>: <reason>" for the first bad line.
   std::string ToCsv() const;
-  static TraceStore FromCsv(const std::string& text);
+  static bool FromCsv(const std::string& text, const std::string& source, TraceStore* out,
+                      std::string* error);
   bool WriteFile(const std::string& path) const;
-  static TraceStore ReadFile(const std::string& path);
+  static bool ReadFile(const std::string& path, TraceStore* out, std::string* error);
 
  private:
   std::map<MarketKey, PriceSeries> traces_;

@@ -96,24 +96,6 @@ double MetricsSnapshot::Value(const std::string& name, const Labels& labels) con
   return point != nullptr ? point->value : 0.0;
 }
 
-MetricsSnapshot MetricsSnapshot::Diff(const MetricsSnapshot& before,
-                                      const MetricsSnapshot& after) {
-  MetricsSnapshot out;
-  for (const MetricPoint& point : after.points) {
-    MetricPoint diffed = point;
-    const MetricPoint* prev = before.Find(point.name, point.labels);
-    if (prev != nullptr && point.kind != MetricKind::kGauge) {
-      diffed.value -= prev->value;
-      diffed.count -= prev->count;
-      for (std::size_t i = 0; i < diffed.buckets.size() && i < prev->buckets.size(); ++i) {
-        diffed.buckets[i] -= prev->buckets[i];
-      }
-    }
-    out.points.push_back(std::move(diffed));
-  }
-  return out;
-}
-
 std::string MetricsSnapshot::ToText() const {
   std::ostringstream out;
   for (const MetricPoint& point : points) {
@@ -274,19 +256,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;  // std::map iteration order == sorted by (name, labels).
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  series_.clear();
-}
-
 std::size_t MetricsRegistry::series_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return series_.size();
-}
-
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // Never destroyed.
-  return *registry;
 }
 
 }  // namespace obs

@@ -97,10 +97,6 @@ struct MetricsSnapshot {
   // Convenience: value of a counter/gauge series, or 0 if absent.
   double Value(const std::string& name, const Labels& labels = {}) const;
 
-  // Counter/histogram series subtract (series only in `after` pass
-  // through); gauges take the `after` value.
-  static MetricsSnapshot Diff(const MetricsSnapshot& before, const MetricsSnapshot& after);
-
   // One line per series: `name{a=1,b=2} kind value [count]`.
   std::string ToText() const;
   // CSV with header `name,labels,kind,value,count`.
@@ -131,15 +127,7 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  // Drops every registered series. Outstanding handles become dangling;
-  // only call between runs (benches, tests), never mid-measurement.
-  void Reset();
-
   std::size_t series_count() const;
-
-  // Process-wide default registry. Components fall back to it when no
-  // registry is injected explicitly.
-  static MetricsRegistry& Default();
 
  private:
   struct Series {

@@ -1,19 +1,11 @@
 #include "src/obs/trace.h"
 
-#include <chrono>
-
-#include "src/common/logging.h"
 #include "src/obs/json.h"
 
 namespace proteus {
 namespace obs {
 
 namespace {
-
-double WallSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
-}
 
 void AppendJsonValue(std::string& out, const TraceValue& value) {
   if (const auto* s = std::get_if<std::string>(&value)) {
@@ -37,22 +29,6 @@ std::string FormatTraceValue(const TraceValue& value) {
 
 }  // namespace
 
-Tracer::Tracer(ClockFn clock) : clock_(std::move(clock)) {
-  if (!clock_) {
-    wall_epoch_ = WallSeconds();
-  }
-}
-
-void Tracer::SetClock(ClockFn clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(clock);
-}
-
-double Tracer::Now() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_ ? clock_() : WallSeconds() - wall_epoch_;
-}
-
 void Tracer::Record(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
   if (track_ids_.emplace(event.track, static_cast<int>(track_order_.size())).second) {
@@ -70,10 +46,6 @@ void Tracer::SpanAt(double ts, double dur, std::string name, std::string track,
 void Tracer::InstantAt(double ts, std::string name, std::string track, TraceArgs args) {
   Record({TraceEvent::Phase::kInstant, std::move(name), std::move(track), ts, 0.0,
           std::move(args)});
-}
-
-void Tracer::Instant(std::string name, std::string track, TraceArgs args) {
-  InstantAt(Now(), std::move(name), std::move(track), std::move(args));
 }
 
 void Tracer::CounterAt(double ts, std::string name, std::string track, double value) {

@@ -276,12 +276,6 @@ bool MemDurableDevice::Truncate(const std::string& name, std::size_t new_size) {
   return true;
 }
 
-std::uint64_t MemDurableDevice::bytes_stored() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, bytes] : objects_) total += bytes.size();
-  return total;
-}
-
 // --- FileDurableDevice ---
 
 FileDurableDevice::FileDurableDevice(std::string root) : root_(std::move(root)) {

@@ -108,7 +108,6 @@ class MemDurableDevice : public DurableDevice {
   bool Truncate(const std::string& name, std::size_t new_size);
 
   std::size_t object_count() const { return objects_.size(); }
-  std::uint64_t bytes_stored() const;
   std::uint64_t bytes_written_total() const { return bytes_written_total_; }
 
  private:

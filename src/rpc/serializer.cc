@@ -49,6 +49,9 @@ bool WireReader::Take(void* out, std::size_t n) {
     failed_ = true;
     return false;
   }
+  if (n == 0) {
+    return true;  // `out` may be null (an empty vector's data()).
+  }
   std::memcpy(out, data_.data() + offset_, n);
   offset_ += n;
   return true;

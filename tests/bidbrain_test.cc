@@ -120,14 +120,5 @@ TEST_F(BidBrainTest, NeverTerminatesOnDemand) {
   }
 }
 
-TEST_F(BidBrainTest, FootprintCostPerWorkFiniteWithSpot) {
-  const BidBrain brain = Make();
-  std::vector<LiveAllocation> live{OnDemand({"z0", "c4.xlarge"}, 3)};
-  live.push_back({1, {"z0", "c4.xlarge"}, 8, 0.3, false, 21 * kDay});
-  const double cpw = brain.FootprintCostPerWork(21 * kDay + kMinute, live);
-  EXPECT_GT(cpw, 0.0);
-  EXPECT_TRUE(std::isfinite(cpw));
-}
-
 }  // namespace
 }  // namespace proteus

@@ -13,12 +13,6 @@ TEST(CapacityTrace, StepSemantics) {
   EXPECT_EQ(trace.SlotsAt(1000.0), 90);
 }
 
-TEST(CapacityTrace, MinSlotsOverWindow) {
-  const CapacityTrace trace({{0.0, 100}, {50.0, 40}, {120.0, 90}});
-  EXPECT_EQ(trace.MinSlots(0.0, 200.0), 40);
-  EXPECT_EQ(trace.MinSlots(120.0, 200.0), 90);
-}
-
 TEST(CapacityTrace, FirstTimeBelowFindsSqueeze) {
   const CapacityTrace trace({{0.0, 100}, {50.0, 40}, {120.0, 90}});
   const auto t = trace.FirstTimeBelow(60, 0.0, 1000.0);
@@ -76,13 +70,6 @@ TEST(CapacityEvictionModel, BiggerAllocationsEvictMore) {
   small.Train(trace, 0.0, 30 * kDay, 16);
   large.Train(trace, 0.0, 30 * kDay, 128);
   EXPECT_GE(large.Estimate({"", ""}, 0.0).beta, small.Estimate({"", ""}, 0.0).beta);
-}
-
-TEST(PrivateClusterPriceStore, ConstantPricePerVcpu) {
-  const InstanceTypeCatalog catalog = InstanceTypeCatalog::Default();
-  const TraceStore store = MakePrivateClusterPriceStore(catalog, "dc1", 0.01, 30 * kDay);
-  EXPECT_DOUBLE_EQ(store.Get({"dc1", "c4.xlarge"}).PriceAt(5 * kDay), 0.04);
-  EXPECT_DOUBLE_EQ(store.Get({"dc1", "c4.2xlarge"}).PriceAt(29 * kDay), 0.08);
 }
 
 }  // namespace

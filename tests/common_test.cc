@@ -145,21 +145,6 @@ TEST(Logging, ParseLogLevel) {
   EXPECT_EQ(ParseLogLevel("verbose"), std::nullopt);
 }
 
-TEST(RunningStats, MatchesSampleStats) {
-  Rng rng(8);
-  SampleStats sample;
-  RunningStats running;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.Normal(5.0, 2.0);
-    sample.Add(v);
-    running.Add(v);
-  }
-  EXPECT_NEAR(running.Mean(), sample.Mean(), 1e-9);
-  EXPECT_NEAR(running.Variance(), sample.Variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(running.Min(), sample.Min());
-  EXPECT_DOUBLE_EQ(running.Max(), sample.Max());
-}
-
 TEST(TextTable, RendersAlignedColumns) {
   TextTable table({"name", "value"});
   table.AddRow({"a", "1"});

@@ -62,7 +62,7 @@ TEST(MetricsRegistry, ConcurrentUpdatesAreLossless) {
   EXPECT_EQ(c->value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsSnapshot, FindValueAndDiff) {
+TEST(MetricsSnapshot, FindAndValue) {
   MetricsRegistry registry;
   registry.GetCounter("a.count")->Add(10);
   registry.GetGauge("a.level")->Set(2.5);
@@ -75,10 +75,7 @@ TEST(MetricsSnapshot, FindValueAndDiff) {
   EXPECT_EQ(after.Value("a.count"), 15.0);
   EXPECT_EQ(after.Value("missing"), 0.0);
   EXPECT_EQ(after.Find("missing"), nullptr);
-
-  const MetricsSnapshot diff = MetricsSnapshot::Diff(before, after);
-  EXPECT_EQ(diff.Value("a.count"), 5.0);   // Counters subtract.
-  EXPECT_EQ(diff.Value("a.level"), 7.5);   // Gauges take the after value.
+  EXPECT_EQ(after.Value("a.level"), 7.5);
 }
 
 TEST(MetricsSnapshot, TextAndCsvExport) {
@@ -135,17 +132,6 @@ TEST(Tracer, SpanTotalFiltersByNameAndArg) {
   EXPECT_DOUBLE_EQ(tracer.SpanTotal("recovery"), 1.5);
   EXPECT_DOUBLE_EQ(tracer.SpanTotal("recovery", "class", "transient-wipeout"), 0.5);
   EXPECT_DOUBLE_EQ(tracer.SpanTotal("recovery", "class", "absent"), 0.0);
-}
-
-TEST(Tracer, BoundClockDrivesInstant) {
-  double sim_now = 42.0;
-  Tracer tracer([&sim_now] { return sim_now; });
-  tracer.Instant("decision", "bidbrain");
-  sim_now = 43.5;
-  tracer.Instant("decision", "bidbrain");
-  ASSERT_EQ(tracer.size(), 2u);
-  EXPECT_DOUBLE_EQ(tracer.events()[0].ts, 42.0);
-  EXPECT_DOUBLE_EQ(tracer.events()[1].ts, 43.5);
 }
 
 }  // namespace

