@@ -16,6 +16,7 @@
 
 #include "bench/support.h"
 #include "src/bidbrain/cost_model.h"
+#include "src/common/crc32.h"
 #include "src/ps/checkpoint_store.h"
 #include "src/ps/model.h"
 #include "src/rpc/messages.h"
@@ -142,6 +143,18 @@ void PopulateStore(ModelStore& store) {
   store.ApplyUpdates(batch);
 }
 
+// One durable epoch as RecoveryManager writes it: each shard's version
+// captured before it is serialized, then the blobs through WriteBlobs.
+CheckpointWriteResult WriteModelEpoch(CheckpointStore& ck, const ModelStore& store, Clock clock) {
+  std::vector<std::vector<std::uint8_t>> blobs;
+  std::vector<std::uint64_t> versions;
+  for (int s = 0; s < store.shards(); ++s) {
+    versions.push_back(store.ShardVersion(s));
+    blobs.push_back(store.SerializeShardCheckpoint(s));
+  }
+  return ck.WriteBlobs(blobs, versions, clock);
+}
+
 std::uint64_t CheckpointBytes(const ModelStore& store) {
   std::uint64_t bytes = 0;
   for (int s = 0; s < store.shards(); ++s) {
@@ -166,6 +179,11 @@ void BM_CheckpointSerializeShards(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointSerializeShards)->Arg(1)->Arg(8);
 
+// Shard versions no earlier epoch used, so every chunk is rewritten.
+std::vector<std::uint64_t> FreshVersions(std::size_t shards, Clock clock) {
+  return std::vector<std::uint64_t>(shards, static_cast<std::uint64_t>(clock));
+}
+
 void BM_CheckpointStoreWrite(benchmark::State& state) {
   ModelStore store = MakeHotStore(static_cast<int>(state.range(0)));
   PopulateStore(store);
@@ -175,12 +193,13 @@ void BM_CheckpointStoreWrite(benchmark::State& state) {
     blobs.push_back(store.SerializeShardCheckpoint(s));
     bytes += blobs.back().size();
   }
-  const std::vector<std::uint64_t> force_full(blobs.size(), 0);
   MemDurableDevice device;
   CheckpointStore ck(&device);
   Clock clock = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ck.WriteBlobs(blobs, force_full, ++clock).committed);
+    ++clock;
+    benchmark::DoNotOptimize(ck.WriteBlobs(blobs, FreshVersions(blobs.size(), clock), clock)
+                                 .committed);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
@@ -192,7 +211,7 @@ void BM_CheckpointRestore(benchmark::State& state) {
   PopulateStore(store);
   MemDurableDevice device;
   CheckpointStore ck(&device);
-  const CheckpointWriteResult written = ck.WriteCheckpoint(store, 1);
+  const CheckpointWriteResult written = WriteModelEpoch(ck, store, 1);
   for (auto _ : state) {
     const auto loaded = ck.ReadNewestValid();
     for (int s = 0; s < store.shards(); ++s) {
@@ -204,6 +223,28 @@ void BM_CheckpointRestore(benchmark::State& state) {
                           static_cast<std::int64_t>(written.bytes_written));
 }
 BENCHMARK(BM_CheckpointRestore)->Arg(1)->Arg(8);
+
+// CRC-32 over a buffer the size of one durable-churn checkpoint chunk
+// (~9 MB): every chunk write and restore makes one such pass.
+constexpr std::size_t kCrcBytes = 9u << 20;
+
+std::vector<std::uint8_t> MakeCrcBuffer() {
+  std::vector<std::uint8_t> buffer(kCrcBytes);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  }
+  return buffer;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<std::uint8_t> buffer = MakeCrcBuffer();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buffer));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32);
 
 void BM_FabricRecordTransfer(benchmark::State& state) {
   Fabric fabric(1.25e8);
@@ -318,7 +359,7 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
   }
 
   // Durable checkpoint path: serialize, store-write (full epochs through
-  // the 2-phase commit), restore.
+  // the 2-phase commit), restore, and the CRC-32 pass under both.
   {
     ModelStore store = MakeHotStore(8);
     PopulateStore(store);
@@ -341,12 +382,13 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
       blobs.push_back(store.SerializeShardCheckpoint(s));
       bytes += static_cast<double>(blobs.back().size());
     }
-    const std::vector<std::uint64_t> force_full(blobs.size(), 0);
     MemDurableDevice device;
     CheckpointStore ck(&device);
     Clock clock = 0;
     const double spi = SecondsPerIter([&] {
-      benchmark::DoNotOptimize(ck.WriteBlobs(blobs, force_full, ++clock).committed);
+      ++clock;
+      benchmark::DoNotOptimize(
+          ck.WriteBlobs(blobs, FreshVersions(blobs.size(), clock), clock).committed);
     });
     rows.push_back({"checkpoint_store_write", "mb_per_sec", bytes / spi / 1e6, "MB/s"});
   }
@@ -355,7 +397,7 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
     PopulateStore(store);
     MemDurableDevice device;
     CheckpointStore ck(&device);
-    const CheckpointWriteResult written = ck.WriteCheckpoint(store, 1);
+    const CheckpointWriteResult written = WriteModelEpoch(ck, store, 1);
     const double bytes = static_cast<double>(written.bytes_written);
     const double spi = SecondsPerIter([&] {
       const auto loaded = ck.ReadNewestValid();
@@ -365,6 +407,11 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
       benchmark::DoNotOptimize(loaded->bytes_read);
     });
     rows.push_back({"checkpoint_restore", "mb_per_sec", bytes / spi / 1e6, "MB/s"});
+  }
+  {
+    const std::vector<std::uint8_t> buffer = MakeCrcBuffer();
+    const double spi = SecondsPerIter([&] { benchmark::DoNotOptimize(Crc32(buffer)); });
+    rows.push_back({"crc32", "mb_per_sec", static_cast<double>(buffer.size()) / spi / 1e6, "MB/s"});
   }
   return rows;
 }

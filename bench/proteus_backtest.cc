@@ -28,9 +28,12 @@
 //
 // Determinism: for a fixed seed the per-cell CSV is byte-identical at
 // any --threads value (tests/backtest_golden_test.cc).
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,8 +62,38 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return parts;
 }
 
-double FlagOr(const std::string& value, double fallback) {
-  return value.empty() ? fallback : std::strtod(value.c_str(), nullptr);
+constexpr char kUsage[] =
+    "usage: proteus_backtest [--policies=a,b,...] [--trace_csv=PATH] [--types=a,b,...]\n"
+    "                        [--windows=N] [--window_hours=H] [--stride_hours=H]\n"
+    "                        [--jitter_hours=H] [--reference_count=N] [--threads=N]\n"
+    "                        [--seed=N] [--out=PATH] [--list_policies]\n"
+    "                        [--emit_mini_trace=PATH] [--trace_out=PATH] [--metrics_out=PATH]\n";
+
+// Pops `--name=value` and parses it as a number in [lo, hi]; `fallback`
+// when the flag is absent. A value that is not wholly a finite number in
+// range is reported with the usage and clears `*ok`.
+double NumberFlag(int& argc, char** argv, const char* name, double fallback, bool* ok,
+                  double lo = -std::numeric_limits<double>::max(),
+                  double hi = std::numeric_limits<double>::max()) {
+  const std::string text = bench::TakeFlag(argc, argv, name);
+  if (text.empty()) {
+    return fallback;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (std::isspace(static_cast<unsigned char>(text.front())) || end != text.c_str() + text.size() ||
+      !std::isfinite(value) || value < lo || value > hi) {
+    if (hi == std::numeric_limits<double>::max()) {
+      std::fprintf(stderr, "proteus_backtest: bad --%s=%s: want a finite number\n%s", name,
+                   text.c_str(), kUsage);
+    } else {
+      std::fprintf(stderr, "proteus_backtest: bad --%s=%s: want a number in [%.0f, %.0f]\n%s",
+                   name, text.c_str(), lo, hi, kUsage);
+    }
+    *ok = false;
+    return fallback;
+  }
+  return value;
 }
 
 int Main(int argc, char** argv) {
@@ -99,14 +132,22 @@ int Main(int argc, char** argv) {
   const std::string out = bench::TakeFlag(argc, argv, "out");
 
   backtest::BacktestConfig config;
-  config.windows = static_cast<int>(FlagOr(bench::TakeFlag(argc, argv, "windows"), 6));
-  config.window_duration = FlagOr(bench::TakeFlag(argc, argv, "window_hours"), 2.0) * kHour;
-  config.stride = FlagOr(bench::TakeFlag(argc, argv, "stride_hours"), 0.0) * kHour;
-  config.start_jitter = FlagOr(bench::TakeFlag(argc, argv, "jitter_hours"), 0.0) * kHour;
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  bool flags_ok = true;
+  config.windows =
+      static_cast<int>(NumberFlag(argc, argv, "windows", 6, &flags_ok, 1, kIntMax));
+  config.window_duration = NumberFlag(argc, argv, "window_hours", 2.0, &flags_ok) * kHour;
+  config.stride = NumberFlag(argc, argv, "stride_hours", 0.0, &flags_ok) * kHour;
+  config.start_jitter = NumberFlag(argc, argv, "jitter_hours", 0.0, &flags_ok) * kHour;
   config.reference_count =
-      static_cast<int>(FlagOr(bench::TakeFlag(argc, argv, "reference_count"), 64));
-  config.threads = static_cast<int>(FlagOr(bench::TakeFlag(argc, argv, "threads"), 0));
-  config.seed = static_cast<std::uint64_t>(FlagOr(bench::TakeFlag(argc, argv, "seed"), 2016));
+      static_cast<int>(NumberFlag(argc, argv, "reference_count", 64, &flags_ok, 1, kIntMax));
+  config.threads = static_cast<int>(NumberFlag(argc, argv, "threads", 0, &flags_ok, 0, kIntMax));
+  // Seeds up to 2^53, the integers a double holds exactly.
+  config.seed = static_cast<std::uint64_t>(
+      NumberFlag(argc, argv, "seed", 2016, &flags_ok, 0, 9007199254740992.0));
+  if (!flags_ok) {
+    return 2;
+  }
   if (!types_flag.empty()) {
     config.reference_types = Split(types_flag, ',');
   }

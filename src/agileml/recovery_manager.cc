@@ -79,11 +79,12 @@ void RecoveryManager::ForceCheckpoint() {
   ++checkpoints_written_;
   std::int64_t durable_committed = 0;
   if (store_ != nullptr) {
-    // Mirror the snapshot the runtime just took: serialization is
-    // canonical, so the durable bytes are bit-identical to the
-    // in-memory checkpoint (and incremental reuse still applies).
+    // Mirror the snapshot the runtime just took, blob for blob: the
+    // model is serialized once per checkpoint, and the shard versions
+    // captured with it key incremental reuse.
+    const AgileMLRuntime::Checkpoint& snapshot = runtime_->checkpoint();
     const CheckpointWriteResult result =
-        store_->WriteCheckpoint(runtime_->model(), runtime_->clock());
+        store_->WriteBlobs(snapshot.shard_blobs, snapshot.shard_versions, snapshot.clock);
     if (result.committed) {
       ++durable_commits_;
       durable_committed = 1;

@@ -581,8 +581,14 @@ void AgileMLRuntime::CheckpointReliable() {
   // Shard-granular snapshot: each stripe serializes independently, so a
   // future partial restore touches only the stripes it needs.
   std::vector<std::vector<std::uint8_t>> blobs;
+  std::vector<std::uint64_t> versions;
   blobs.reserve(static_cast<std::size_t>(model_.shards()));
+  versions.reserve(static_cast<std::size_t>(model_.shards()));
   for (int s = 0; s < model_.shards(); ++s) {
+    // Version *before* serializing: if a concurrent mutation races the
+    // snapshot, the pessimistic order at worst makes the durable store
+    // rewrite an unchanged shard, never reuse a stale one.
+    versions.push_back(model_.ShardVersion(s));
     blobs.push_back(model_.SerializeShardCheckpoint(s));
   }
   std::uint64_t checkpoint_bytes = 0;
@@ -593,7 +599,7 @@ void AgileMLRuntime::CheckpointReliable() {
   if (checkpoint_bytes_written_counter_ != nullptr) {
     checkpoint_bytes_written_counter_->Add(checkpoint_bytes);
   }
-  checkpoint_ = Checkpoint{std::move(blobs), clock_};
+  checkpoint_ = Checkpoint{std::move(blobs), std::move(versions), clock_};
   if (ledger_ != nullptr) {
     ledger_->Record("checkpoint", "agileml", total_time_,
                     {{"clock", static_cast<std::int64_t>(clock_)},
@@ -611,6 +617,11 @@ void AgileMLRuntime::CheckpointReliable() {
                          TrafficClass::kBackground, false});
     }
   }
+}
+
+const AgileMLRuntime::Checkpoint& AgileMLRuntime::checkpoint() const {
+  PROTEUS_CHECK(checkpoint_.has_value());
+  return *checkpoint_;
 }
 
 int AgileMLRuntime::RestoreFromCheckpoint() {
@@ -684,7 +695,7 @@ void AgileMLRuntime::InstallCheckpoint(std::vector<std::vector<std::uint8_t>> sh
                                        Clock clock) {
   PROTEUS_CHECK_EQ(static_cast<int>(shard_blobs.size()), model_.shards())
       << "installed checkpoint shard count does not match the model";
-  checkpoint_ = Checkpoint{std::move(shard_blobs), clock};
+  checkpoint_ = Checkpoint{std::move(shard_blobs), {}, clock};
 }
 
 void AgileMLRuntime::DropCheckpoint() { checkpoint_.reset(); }

@@ -204,10 +204,23 @@ class AgileMLRuntime {
   TierGuardReport AuditTierGuard() const;
   const TierGuard& tier_guard() const { return guard_; }
 
+  struct Checkpoint {
+    // One canonical blob per model shard, enabling shard-granular
+    // restore and shard-granular durable writes.
+    std::vector<std::vector<std::uint8_t>> shard_blobs;
+    // ModelStore::ShardVersion of each shard, captured before that shard
+    // was serialized: the durable store's incremental-reuse key. Empty
+    // for an installed checkpoint, whose versions are unknown.
+    std::vector<std::uint64_t> shard_versions;
+    Clock clock = 0;
+  };
+
   // Checkpoint of the reliable tier (§3.3: insures against reliable-node
   // failure; free in stage 3 because reliable nodes run no workers).
   void CheckpointReliable();
   bool HasCheckpoint() const { return checkpoint_.has_value(); }
+  // The held checkpoint; HasCheckpoint() must be true.
+  const Checkpoint& checkpoint() const;
   // Clock the last reliable-tier checkpoint was taken at (-1 when none).
   Clock checkpoint_clock() const { return checkpoint_ ? checkpoint_->clock : -1; }
   // Restores model state from the last checkpoint; returns lost clocks.
@@ -268,13 +281,6 @@ class AgileMLRuntime {
     // their time is added to the next clock without compute overlap —
     // this is the paper's Fig. 16 eviction "blip".
     bool stall = false;
-  };
-
-  struct Checkpoint {
-    // One canonical blob per model shard, enabling shard-granular
-    // restore (and, in ProteusRuntime, shard-granular durable writes).
-    std::vector<std::vector<std::uint8_t>> shard_blobs;
-    Clock clock = 0;
   };
 
   bool IsReady(NodeId id) const { return ready_.count(id) > 0; }

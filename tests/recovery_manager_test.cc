@@ -106,6 +106,42 @@ TEST_F(RecoveryManagerTest, CadenceWritesDurableEpochs) {
   EXPECT_EQ(loaded->clock, 12);
 }
 
+// The durable epoch is the runtime's in-memory checkpoint written out
+// blob for blob, keyed by the shard versions captured with it: a second
+// checkpoint with no training in between rewrites no chunk.
+TEST_F(RecoveryManagerTest, DurableEpochMirrorsReliableCheckpoint) {
+  AgileMLConfig config = Config();
+  config.model.shards = 4;
+  AgileMLRuntime runtime(app_.get(), config, Nodes(2, 4));
+  MemDurableDevice device;
+  CheckpointStore store(&device);
+  RecoveryManager manager(&runtime, &store, RecoveryManagerConfig{1, 0});
+  runtime.RunClock();
+  manager.OnClockBoundary();
+
+  const AgileMLRuntime::Checkpoint& snapshot = runtime.checkpoint();
+  ASSERT_EQ(snapshot.shard_versions.size(), 4u);
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(snapshot.shard_versions[static_cast<std::size_t>(s)],
+              runtime.model().ShardVersion(s));
+    EXPECT_EQ(snapshot.shard_blobs[static_cast<std::size_t>(s)],
+              runtime.model().SerializeShardCheckpoint(s));
+  }
+  const auto loaded = store.ReadNewestValid();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->clock, snapshot.clock);
+  EXPECT_EQ(loaded->shard_blobs, snapshot.shard_blobs);
+
+  const std::uint64_t epochs_before = store.epochs_committed();
+  manager.ForceCheckpoint();
+  EXPECT_EQ(store.epochs_committed(), epochs_before + 1);
+  std::size_t chunk_objects = 0;
+  for (const std::string& name : device.List()) {
+    chunk_objects += name.rfind("ck/obj/", 0) == 0;
+  }
+  EXPECT_EQ(chunk_objects, 4u);  // Every shard reused by name.
+}
+
 TEST_F(RecoveryManagerTest, DurableRestoreRecoversBothTierLoss) {
   AgileMLRuntime runtime(app_.get(), Config(), Nodes(2, 6));
   MemDurableDevice device;
