@@ -28,28 +28,18 @@ RecoveryManager::RecoveryManager(AgileMLRuntime* runtime, CheckpointStore* store
 }
 
 void RecoveryManager::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
   if (store_ != nullptr) {
     store_->SetObservability(metrics);
   }
-  if (metrics_ == nullptr) {
-    for (auto& counter : depth_counters_) counter = nullptr;
-    durable_restores_counter_ = nullptr;
-    corrupt_epochs_counter_ = nullptr;
-    last_depth_gauge_ = nullptr;
-    return;
-  }
+  sinks_.Attach(tracer, metrics);
+  std::vector<obs::Labels> depths;
   for (int d = 0; d < 4; ++d) {
-    depth_counters_[d] = metrics_->GetCounter(
-        "recovery.events", {{"depth", RecoveryDepthName(static_cast<RecoveryDepth>(d))}});
+    depths.push_back({{"depth", RecoveryDepthName(static_cast<RecoveryDepth>(d))}});
   }
-  durable_restores_counter_ = metrics_->GetCounter("recovery.durable_restores");
-  corrupt_epochs_counter_ = metrics_->GetCounter("recovery.corrupt_epochs_skipped");
-  last_depth_gauge_ = metrics_->GetGauge("recovery.last_depth");
+  sinks_.BindSeries(obs::Metric::kRecoveryEvents, depths);
 }
 
-void RecoveryManager::SetLedger(obs::EventLedger* ledger) { ledger_ = ledger; }
+void RecoveryManager::SetLedger(obs::EventLedger* ledger) { sinks_.AttachLedger(ledger); }
 
 void RecoveryManager::OnClockBoundary() {
   ++boundaries_;
@@ -60,20 +50,14 @@ void RecoveryManager::OnClockBoundary() {
     const ScrubReport report = store_->Scrub();
     ++scrubs_run_;
     scrub_corruptions_found_ += report.corrupt_objects.size();
-    if (ledger_ != nullptr) {
-      ledger_->Record("recovery.scrub", "recovery", runtime_->total_time(),
-                      {{"corrupt_found",
-                        static_cast<std::int64_t>(report.corrupt_objects.size())}});
-    }
+    sinks_.Emit(obs::Ev::kRecoveryScrub, runtime_->total_time(),
+                "corrupt_found", report.corrupt_objects.size());
   }
 }
 
 void RecoveryManager::ForceCheckpoint() {
-  obs::EventId region = obs::kNoEvent;
-  if (ledger_ != nullptr) {
-    region = ledger_->Open("recovery.checkpoint", "recovery", runtime_->total_time(),
-                           {{"clock", static_cast<std::int64_t>(runtime_->clock())}});
-  }
+  const obs::EventId region =
+      sinks_.Open(obs::Ev::kRecoveryCheckpoint, runtime_->total_time(), "clock", runtime_->clock());
   runtime_->CheckpointReliable();
   last_checkpoint_clock_ = runtime_->clock();
   ++checkpoints_written_;
@@ -90,9 +74,7 @@ void RecoveryManager::ForceCheckpoint() {
       durable_committed = 1;
     }
   }
-  if (ledger_ != nullptr) {
-    ledger_->Close(region, 0.0, {{"durable_committed", durable_committed}});
-  }
+  sinks_.Close(region, 0.0, "durable_committed", durable_committed);
 }
 
 RecoveryDepth RecoveryManager::Classify(const std::vector<NodeId>& failed) const {
@@ -144,13 +126,9 @@ RecoveryOutcome RecoveryManager::Recover(const std::vector<NodeId>& failed) {
   RecoveryOutcome outcome;
   outcome.depth = Classify(failed);
   const SimDuration at = runtime_->total_time();
-  obs::EventId step_event = obs::kNoEvent;
-  if (ledger_ != nullptr) {
-    // Everything the ladder does — the runtime's rollback, checkpoint
-    // restore, eviction records — lands inside this causal region.
-    step_event = ledger_->Open("recovery.step", "recovery", at,
-                               {{"failed", static_cast<std::int64_t>(failed.size())}});
-  }
+  // Everything the ladder does — the runtime's rollback, checkpoint
+  // restore, eviction records — lands inside this causal region.
+  const obs::EventId step_event = sinks_.Open(obs::Ev::kRecoveryStep, at, "failed", failed.size());
 
   if (outcome.depth == RecoveryDepth::kDurableRestore) {
     // Load *before* Fail(): the failure path refuses to proceed without
@@ -175,23 +153,16 @@ RecoveryOutcome RecoveryManager::Recover(const std::vector<NodeId>& failed) {
 
   const auto depth_index = static_cast<std::size_t>(outcome.depth);
   ++depth_counts_[depth_index];
-  if (metrics_ != nullptr) {
-    depth_counters_[depth_index]->Increment();
-    last_depth_gauge_->Set(static_cast<double>(outcome.depth));
-    if (outcome.used_durable) {
-      durable_restores_counter_->Increment();
-      corrupt_epochs_counter_->Add(static_cast<std::uint64_t>(outcome.corrupt_epochs_skipped));
-    }
+  sinks_.Record(obs::Metric::kRecoveryEvents, 1, depth_index);
+  sinks_.Record(obs::Metric::kRecoveryLastDepth, static_cast<double>(outcome.depth));
+  if (outcome.used_durable) {
+    sinks_.Record(obs::Metric::kRecoveryDurableRestores, 1);
+    sinks_.Record(obs::Metric::kRecoveryCorruptEpochsSkipped, outcome.corrupt_epochs_skipped);
   }
-  if (tracer_ != nullptr) {
-    tracer_->SpanAt(at, 0.0, "recovery.ladder", "agileml",
-                    {{"depth", std::string(RecoveryDepthName(outcome.depth))},
-                     {"lost_clocks", static_cast<std::int64_t>(outcome.lost_clocks)},
-                     {"to_clock", static_cast<std::int64_t>(outcome.restored_clock)},
-                     {"durable_epoch", static_cast<std::int64_t>(outcome.durable_epoch)},
-                     {"corrupt_epochs_skipped",
-                      static_cast<std::int64_t>(outcome.corrupt_epochs_skipped)}});
-  }
+  sinks_.Emit(obs::Ev::kRecoveryLadder, at, "depth", RecoveryDepthName(outcome.depth),
+              "lost_clocks", outcome.lost_clocks, "to_clock", outcome.restored_clock,
+              "durable_epoch", outcome.durable_epoch,
+              "corrupt_epochs_skipped", outcome.corrupt_epochs_skipped);
 
   if (outcome.depth == RecoveryDepth::kDurableRestore) {
     // Re-arm immediately: until the next cadence tick the freshly
@@ -199,16 +170,10 @@ RecoveryOutcome RecoveryManager::Recover(const std::vector<NodeId>& failed) {
     // before then must still find a checkpoint.
     ForceCheckpoint();
   }
-  if (ledger_ != nullptr) {
-    ledger_->Close(step_event, runtime_->total_time() - at,
-                   {{"depth", std::string(RecoveryDepthName(outcome.depth))},
-                    {"lost_clocks", static_cast<std::int64_t>(outcome.lost_clocks)},
-                    {"restored_clock", static_cast<std::int64_t>(outcome.restored_clock)},
-                    {"durable_epoch", static_cast<std::int64_t>(outcome.durable_epoch)},
-                    {"used_durable", static_cast<std::int64_t>(outcome.used_durable)},
-                    {"corrupt_epochs_skipped",
-                     static_cast<std::int64_t>(outcome.corrupt_epochs_skipped)}});
-  }
+  sinks_.Close(step_event, runtime_->total_time() - at, "depth", RecoveryDepthName(outcome.depth),
+               "lost_clocks", outcome.lost_clocks, "restored_clock", outcome.restored_clock,
+               "durable_epoch", outcome.durable_epoch, "used_durable", outcome.used_durable,
+               "corrupt_epochs_skipped", outcome.corrupt_epochs_skipped);
   return outcome;
 }
 

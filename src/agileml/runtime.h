@@ -34,9 +34,7 @@
 #include "src/common/thread_pool.h"
 #include "src/common/types.h"
 #include "src/net/fabric.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 #include "src/ps/clock_table.h"
 #include "src/ps/model.h"
 
@@ -349,32 +347,10 @@ class AgileMLRuntime {
   int restore_clocks_lost_total_ = 0;
   int restore_clocks_credited_total_ = 0;
 
-  // Observability sinks (optional) and cached metric handles. All
-  // recording happens on the serial control path, never inside the
-  // worker thread pool.
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
+  // Observability sinks (optional). All recording happens on the serial
+  // control path, never inside the worker thread pool.
+  obs::Sinks sinks_{"agileml"};
   obs::EventId last_clock_event_ = obs::kNoEvent;
-  obs::Counter* pull_bytes_counter_ = nullptr;
-  obs::Counter* push_bytes_counter_ = nullptr;
-  // Bytes saved by coalescing pushes into delta batches (legacy per-row
-  // framing minus actual coalesced bytes; only advances when shards > 1).
-  obs::Counter* push_coalesced_saved_counter_ = nullptr;
-  obs::Counter* backup_sync_bytes_counter_ = nullptr;
-  obs::Counter* stage_transition_counter_ = nullptr;
-  obs::Counter* rollback_clocks_counter_ = nullptr;
-  obs::Counter* stall_seconds_counter_ = nullptr;
-  obs::Counter* checkpoint_bytes_written_counter_ = nullptr;
-  obs::Counter* checkpoint_bytes_restored_counter_ = nullptr;
-  obs::Counter* restore_clocks_lost_counter_ = nullptr;
-  obs::Gauge* backup_lag_gauge_ = nullptr;
-  obs::Gauge* worker_nodes_gauge_ = nullptr;
-  obs::Counter* detector_suspicions_counter_ = nullptr;
-  obs::Counter* detector_confirmed_counter_ = nullptr;
-  obs::Counter* detector_false_positives_counter_ = nullptr;
-  obs::Gauge* detector_latency_gauge_ = nullptr;
-  obs::Histogram* clock_duration_hist_ = nullptr;
 
   std::unique_ptr<ThreadPool> pool_;
   // One per worker slot of RunClock, reused across clocks so the access

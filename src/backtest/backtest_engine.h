@@ -27,8 +27,7 @@
 
 #include "src/backtest/policies.h"
 #include "src/common/table.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 #include "src/proteus/job_simulator.h"
 
 namespace proteus {
@@ -155,8 +154,7 @@ class BacktestEngine {
   const EvictionModel* estimator_;
   std::vector<PolicyFactory> policies_;
   std::vector<std::string> names_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Sinks sinks_{"backtest"};
 };
 
 }  // namespace backtest

@@ -17,17 +17,7 @@ BidBrain::BidBrain(const InstanceTypeCatalog* catalog, const TraceStore* prices,
 }
 
 void BidBrain::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  decisions_counter_ = nullptr;
-  acquire_counter_ = nullptr;
-  terminate_counter_ = nullptr;
-  cost_per_work_gauge_ = nullptr;
-  if (metrics != nullptr) {
-    decisions_counter_ = metrics->GetCounter("bidbrain.decisions");
-    acquire_counter_ = metrics->GetCounter("bidbrain.actions", {{"kind", "acquire"}});
-    terminate_counter_ = metrics->GetCounter("bidbrain.actions", {{"kind", "terminate"}});
-    cost_per_work_gauge_ = metrics->GetGauge("bidbrain.cost_per_work");
-  }
+  sinks_.Attach(tracer, metrics);
 }
 
 AllocationPlan BidBrain::PlanFor(SimTime now, const LiveAllocation& alloc) const {
@@ -179,32 +169,26 @@ std::vector<BidAction> BidBrain::Decide(SimTime now,
       ++terminations;
     }
   }
-  if (decisions_counter_ != nullptr) {
-    decisions_counter_->Increment();
+  if (chosen.has_value()) {
+    sinks_.Record(obs::Metric::kBidBrainAcquires, 1);
   }
-  if (acquire_counter_ != nullptr && chosen.has_value()) {
-    acquire_counter_->Increment();
+  if (terminations > 0) {
+    sinks_.Record(obs::Metric::kBidBrainTerminations, terminations);
   }
-  if (terminate_counter_ != nullptr && terminations > 0) {
-    terminate_counter_->Add(static_cast<std::uint64_t>(terminations));
-  }
-  if (cost_per_work_gauge_ != nullptr) {
-    cost_per_work_gauge_->Set(current_cpw);
-  }
-  if (tracer_ != nullptr) {
+  sinks_.Record(obs::Metric::kBidBrainCostPerWork, current_cpw);
+  sinks_.Emit(obs::Ev::kDecision, now, [&] {
     obs::TraceArgs args = {{"E_A", current_cpw},
                            {"spot_instances", static_cast<std::int64_t>(spot_count)},
                            {"terminations", static_cast<std::int64_t>(terminations)}};
     if (chosen.has_value()) {
-      args.emplace_back("market",
-                        chosen->market.zone + "/" + chosen->market.instance_type);
+      args.emplace_back("market", chosen->market.zone + "/" + chosen->market.instance_type);
       args.emplace_back("bid", chosen->bid);
       args.emplace_back("delta", chosen_delta);
       args.emplace_back("beta", chosen_plan->beta);
       args.emplace_back("count", static_cast<std::int64_t>(chosen->count));
     }
-    tracer_->InstantAt(now, "decision", "bidbrain", args);
-  }
+    return args;
+  });
   return actions;
 }
 

@@ -23,8 +23,7 @@
 #include "src/bidbrain/eviction_estimator.h"
 #include "src/market/instance_type.h"
 #include "src/market/trace_store.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 
 namespace proteus {
 
@@ -80,11 +79,7 @@ class BidBrain : public AcquisitionPolicy {
 
   // Observability sinks; Decide() is logically const, so recording into
   // external sinks does not touch BidBrain state.
-  obs::Tracer* tracer_ = nullptr;
-  obs::Counter* decisions_counter_ = nullptr;
-  obs::Counter* acquire_counter_ = nullptr;
-  obs::Counter* terminate_counter_ = nullptr;
-  obs::Gauge* cost_per_work_gauge_ = nullptr;
+  obs::Sinks sinks_{"bidbrain"};
 };
 
 }  // namespace proteus

@@ -44,9 +44,7 @@
 
 #include "src/agileml/runtime.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 #include "src/rpc/channel.h"
 
 namespace proteus {
@@ -101,10 +99,7 @@ class ConsistencyAuditor {
   void CheckTierGuard();
 
   const AgileMLRuntime* runtime_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
+  obs::Sinks sinks_{"chaos"};
   bool dumped_ = false;  // One auto-dump per run: the first violation.
   std::vector<AuditViolation> violations_;
   bool has_prev_ = false;

@@ -142,15 +142,12 @@ ChaosHarness::ChaosHarness(MLApp* app, ChaosConfig config)
 ChaosHarness::~ChaosHarness() = default;
 
 void ChaosHarness::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  fault_counters_ = {};
-  if (metrics != nullptr) {
-    for (int i = 0; i < kNumFaultClasses; ++i) {
-      const FaultClass cls = static_cast<FaultClass>(i);
-      fault_counters_[static_cast<std::size_t>(i)] =
-          metrics->GetCounter("chaos.faults", {{"class", FaultClassName(cls)}});
-    }
+  sinks_.Attach(tracer, metrics);
+  std::vector<obs::Labels> classes;
+  for (int i = 0; i < kNumFaultClasses; ++i) {
+    classes.push_back({{"class", FaultClassName(static_cast<FaultClass>(i))}});
   }
+  sinks_.BindSeries(obs::Metric::kChaosFaults, classes);
   runtime_->SetObservability(tracer, metrics);
   control_channel_.SetObservability(metrics, "controller");
   auditor_.SetObservability(tracer, metrics);
@@ -158,7 +155,7 @@ void ChaosHarness::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* m
 }
 
 void ChaosHarness::SetLedger(obs::EventLedger* ledger, obs::FlightRecorder* recorder) {
-  ledger_ = ledger;
+  sinks_.AttachLedger(ledger);
   runtime_->SetLedger(ledger);
   control_channel_.SetLedger(ledger, "controller");
   auditor_.SetLedger(ledger, recorder);
@@ -646,14 +643,9 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
 
 ChaosRunResult ChaosHarness::Run() {
   ChaosRunResult result;
-  obs::EventId run_event = obs::kNoEvent;
   const SimDuration run_start = runtime_->total_time();
-  if (ledger_ != nullptr) {
-    run_event = ledger_->Open(
-        "run", "chaos", run_start,
-        {{"seed", static_cast<std::int64_t>(config_.seed)},
-         {"horizon", static_cast<std::int64_t>(config_.schedule.horizon)}});
-  }
+  const obs::EventId run_event = sinks_.Open(obs::Ev::kRun, run_start, "seed", config_.seed,
+                                             "horizon", config_.schedule.horizon);
   for (Clock boundary = 0; boundary < config_.schedule.horizon; ++boundary) {
     boundary_ = boundary;
     // Detector-driven rollbacks happened inside the previous RunClock;
@@ -697,11 +689,8 @@ ChaosRunResult ChaosHarness::Run() {
       stats.lost_clocks += runtime_->lost_clocks_total() - lost_before;
       stats.control_messages += runtime_->control_log().Total() - ctrl_before;
       applied.push_back(FaultClass::kPreparingEviction);
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(runtime_->total_time(), "fault.preparing_eviction", "chaos",
-                           {{"phase", "revoke"},
-                            {"boundary", static_cast<std::int64_t>(boundary)}});
-      }
+      sinks_.Emit(obs::Ev::kFaultPreparingEviction, runtime_->total_time(), "phase", "revoke",
+                  "boundary", boundary);
     }
 
     std::vector<FaultEvent> due = std::move(deferred_);
@@ -712,21 +701,14 @@ ChaosRunResult ChaosHarness::Run() {
     for (const FaultEvent& event : due) {
       const int lost_before = runtime_->lost_clocks_total();
       const std::int64_t ctrl_before = runtime_->control_log().Total();
-      obs::EventId fault_event = obs::kNoEvent;
-      if (ledger_ != nullptr) {
-        // Open before Apply: whatever the fault forces — evictions,
-        // rollbacks, recovery-ladder steps — records as its children.
-        fault_event = ledger_->Open(
-            "fault", "chaos", runtime_->total_time(),
-            {{"class", std::string(FaultClassName(event.cls))},
-             {"magnitude", static_cast<std::int64_t>(event.magnitude)},
-             {"boundary", static_cast<std::int64_t>(boundary)}});
-      }
+      // Open before Apply: whatever the fault forces — evictions,
+      // rollbacks, recovery-ladder steps — records as its children.
+      const obs::EventId fault_event = sinks_.Open(obs::Ev::kFault, runtime_->total_time(),
+                                                   "class", FaultClassName(event.cls),
+                                                   "magnitude", event.magnitude,
+                                                   "boundary", boundary);
       if (!Apply(event)) {
-        if (ledger_ != nullptr) {
-          ledger_->Close(fault_event, 0.0,
-                         {{"applied", static_cast<std::int64_t>(0)}});
-        }
+        sinks_.Close(fault_event, 0.0, "applied", 0);
         deferred_.push_back(event);
         continue;
       }
@@ -735,25 +717,11 @@ ChaosRunResult ChaosHarness::Run() {
       stats.lost_clocks += runtime_->lost_clocks_total() - lost_before;
       stats.control_messages += runtime_->control_log().Total() - ctrl_before;
       applied.push_back(event.cls);
-      if (obs::Counter* c = fault_counters_[static_cast<std::size_t>(event.cls)]) {
-        c->Increment();
-      }
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(
-            runtime_->total_time(),
-            std::string("fault.") + FaultClassName(event.cls), "chaos",
-            {{"magnitude", static_cast<std::int64_t>(event.magnitude)},
-             {"boundary", static_cast<std::int64_t>(boundary)},
-             {"lost_clocks",
-              static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before)}});
-      }
-      if (ledger_ != nullptr) {
-        ledger_->Close(
-            fault_event, 0.0,
-            {{"applied", static_cast<std::int64_t>(1)},
-             {"lost_clocks",
-              static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before)}});
-      }
+      const auto lost = static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before);
+      sinks_.Record(obs::Metric::kChaosFaults, 1, static_cast<std::size_t>(event.cls));
+      sinks_.EmitNamed(obs::Ev::kFaultApplied, FaultClassName(event.cls), runtime_->total_time(),
+                       "magnitude", event.magnitude, "boundary", boundary, "lost_clocks", lost);
+      sinks_.Close(fault_event, 0.0, "applied", 1, "lost_clocks", lost);
     }
 
     // BidBrain's next decision point: replenish lost capacity.
@@ -809,13 +777,9 @@ ChaosRunResult ChaosHarness::Run() {
         carryover_classes_.push_back(cause);
       }
       ForgetNodes(report.confirmed_dead);
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(
-            runtime_->total_time(), "fault.confirmed_dead", "chaos",
-            {{"victims", static_cast<std::int64_t>(report.confirmed_dead.size())},
-             {"lost_clocks", static_cast<std::int64_t>(lost_delta)},
-             {"boundary", static_cast<std::int64_t>(boundary)}});
-      }
+      sinks_.Emit(obs::Ev::kFaultConfirmedDead, runtime_->total_time(),
+                  "victims", report.confirmed_dead.size(), "lost_clocks", lost_delta,
+                  "boundary", boundary);
     }
 
     if (!applied.empty()) {
@@ -825,14 +789,10 @@ ChaosRunResult ChaosHarness::Run() {
       const SimDuration clock_start = runtime_->total_time() - report.duration;
       for (const FaultClass cls : applied) {
         result.per_class[static_cast<std::size_t>(cls)].stall_seconds += share;
-        if (tracer_ != nullptr) {
-          // One recovery span per contributing fault class; chaos_soak
-          // aggregates these into the per-class recovery breakdown.
-          tracer_->SpanAt(clock_start, share, "recovery", "chaos",
-                          {{"class", FaultClassName(cls)},
-                           {"stall_share", share},
-                           {"clock", static_cast<std::int64_t>(report.clock)}});
-        }
+        // One recovery span per contributing fault class; chaos_soak
+        // aggregates these into the per-class recovery breakdown.
+        sinks_.EmitSpan(obs::Ev::kRecoveryShare, clock_start, share, "class", FaultClassName(cls),
+                        "stall_share", share, "clock", report.clock);
       }
     }
 
@@ -852,12 +812,8 @@ ChaosRunResult ChaosHarness::Run() {
   result.final_clock = runtime_->clock();
   result.lost_clocks_total = runtime_->lost_clocks_total();
   result.virtual_time = runtime_->total_time();
-  if (ledger_ != nullptr) {
-    ledger_->Close(run_event, runtime_->total_time() - run_start,
-                   {{"clocks_run", static_cast<std::int64_t>(result.clocks_run)},
-                    {"final_clock", static_cast<std::int64_t>(result.final_clock)},
-                    {"lost_clocks", static_cast<std::int64_t>(result.lost_clocks_total)}});
-  }
+  sinks_.Close(run_event, runtime_->total_time() - run_start, "clocks_run", result.clocks_run,
+               "final_clock", result.final_clock, "lost_clocks", result.lost_clocks_total);
   result.final_objective = runtime_->ComputeObjective();
   result.violations = auditor_.violations();
   result.control_sent = control_channel_.messages_sent();

@@ -26,9 +26,7 @@
 #include "src/chaos/consistency_auditor.h"
 #include "src/chaos/fault_injector.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 #include "src/ps/checkpoint_store.h"
 #include "src/rpc/channel.h"
 
@@ -213,9 +211,7 @@ class ChaosHarness {
   std::vector<FaultClass> carryover_classes_;
 
   // Observability sinks (optional) and per-class fault counters.
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
-  std::array<obs::Counter*, kNumFaultClasses> fault_counters_{};
+  obs::Sinks sinks_{"chaos"};
 };
 
 }  // namespace proteus

@@ -92,11 +92,9 @@ class TierStormDriver {
     recovery_ = std::make_unique<RecoveryManager>(
         runtime_.get(), store_.get(),
         RecoveryManagerConfig{config_.checkpoint_every, /*scrub_every=*/0});
-    if (tracer_ != nullptr || metrics_ != nullptr) {
-      runtime_->SetObservability(tracer_, metrics_);
-      auditor_->SetObservability(tracer_, metrics_);
-      recovery_->SetObservability(tracer_, metrics_);
-    }
+    runtime_->SetObservability(tracer_, metrics_);
+    auditor_->SetObservability(tracer_, metrics_);
+    recovery_->SetObservability(tracer_, metrics_);
     // Start-up insurance, as in production: a committed durable epoch
     // exists before the first clock runs.
     recovery_->ForceCheckpoint();

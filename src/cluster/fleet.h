@@ -37,9 +37,7 @@
 #include "src/cluster/tenant.h"
 #include "src/market/capacity_trace.h"
 #include "src/market/spot_market.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 
 namespace proteus {
 namespace cluster {
@@ -141,9 +139,7 @@ class ClusterScheduler {
   const InstanceTypeCatalog* catalog_;
   const TraceStore* traces_;
   const EvictionModel* estimator_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
+  obs::Sinks sinks_{"cluster"};
 };
 
 }  // namespace cluster

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "src/obs/catalog.h"
 #include "src/obs/json.h"
 
 namespace proteus {
@@ -113,7 +114,7 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
     const std::string kind = event.StringField("kind");
     const JsonValue* args = event.Find("args");
 
-    if (kind == "run") {
+    if (kind == EventName(Ev::kRun)) {
       ++current_run;
       RunSegment segment;
       if (args != nullptr && args->Find("clocks_run") != nullptr) {
@@ -124,7 +125,7 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
       run_first_execution = executions.size();
       continue;
     }
-    if (kind == "clock") {
+    if (kind == EventName(Ev::kClock)) {
       Execution exec;
       exec.run = current_run;
       exec.dur = event.NumberField("dur");
@@ -154,7 +155,7 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
       executions.push_back(std::move(exec));
       continue;
     }
-    if (kind == "rollback") {
+    if (kind == EventName(Ev::kRollbackBackup)) {
       ++rollback_count;
       if (args != nullptr) {
         const std::int64_t to_clock = args->IntField("to_clock");
@@ -174,7 +175,7 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
       }
       continue;
     }
-    if (kind == "recovery.step") {
+    if (kind == EventName(Ev::kRecoveryStep)) {
       RecoveryStep step;
       step.run = current_run;
       step.ts = event.NumberField("ts");
@@ -190,11 +191,11 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
       recoveries.push_back(std::move(step));
       continue;
     }
-    if (kind == "audit.violation") {
+    if (kind == EventName(Ev::kAuditViolation)) {
       ++violations;
       continue;
     }
-    if (kind == "cost.sample" && args != nullptr) {
+    if (kind == EventName(Ev::kCostSample) && args != nullptr) {
       billed_cost = args->NumberField("dollars", billed_cost);
       continue;
     }
@@ -323,9 +324,10 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
         }
         const double dur_s = event.NumberField("dur") / 1e6;
         const std::string name = event.StringField("name");
-        if (name == "clock") {
+        if (name == EventName(Ev::kClockSpan)) {
           trace_clock_seconds += dur_s;
-        } else if (name == "recovery" || name == "recovery.stall") {
+        } else if (name == EventName(Ev::kRecoveryShare) ||
+                   name == EventName(Ev::kRecoveryStall)) {
           trace_recovery_seconds += dur_s;
         }
       }
@@ -339,16 +341,15 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
       result.error = "metrics: " + parse_error;
       return result;
     }
-    static const char* const kInteresting[] = {
-        "rpc.retransmits",       "rpc.dup_delivered_suppressed",
-        "rpc.messages.dropped",  "chaos.audit.violations",
-        "agileml.clocks.lost",   "proteus.cost.dollars",
+    static const Metric kInteresting[] = {
+        Metric::kRpcRetransmits,     Metric::kRpcDupSuppressed,   Metric::kRpcMessagesDropped,
+        Metric::kAuditViolations,    Metric::kRollbackLostClocks, Metric::kProteusCost,
     };
     if (const JsonValue* list = metrics.Find("metrics")) {
       for (const JsonValue& point : list->items) {
         const std::string name = point.StringField("name");
-        for (const char* wanted : kInteresting) {
-          if (name == wanted) {
+        for (const Metric wanted : kInteresting) {
+          if (name == MetricName(wanted)) {
             metric_totals[name] += point.NumberField("value");
           }
         }

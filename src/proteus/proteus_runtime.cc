@@ -53,20 +53,7 @@ ProteusRuntime::ProteusRuntime(MLApp* app, const InstanceTypeCatalog* catalog,
 ProteusRuntime::~ProteusRuntime() = default;
 
 void ProteusRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-  total_cost_gauge_ = nullptr;
-  acquisitions_counter_ = nullptr;
-  evictions_counter_ = nullptr;
-  failures_counter_ = nullptr;
-  aborted_counter_ = nullptr;
-  if (metrics != nullptr) {
-    total_cost_gauge_ = metrics->GetGauge("proteus.cost.dollars");
-    acquisitions_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "acquired"}});
-    evictions_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "evicted"}});
-    failures_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "failed"}});
-    aborted_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "aborted"}});
-  }
+  sinks_.Attach(tracer, metrics);
   agileml_->SetObservability(tracer, metrics);
   bidbrain_.SetObservability(tracer, metrics);
   api_channel_.SetObservability(metrics, "api");
@@ -75,64 +62,52 @@ void ProteusRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry*
 }
 
 void ProteusRuntime::SetLedger(obs::EventLedger* ledger) {
-  ledger_ = ledger;
+  sinks_.AttachLedger(ledger);
   agileml_->SetLedger(ledger);
   api_channel_.SetLedger(ledger, "api");
   controller_channel_.SetLedger(ledger, "controller");
 }
 
-void ProteusRuntime::RecordAllocEvent(const char* event, const TrackedAllocation& tracked,
-                                      obs::TraceArgs extra) {
-  if (tracer_ == nullptr && ledger_ == nullptr) {
-    return;
-  }
+obs::TraceArgs ProteusRuntime::AllocArgs(const TrackedAllocation& tracked,
+                                         obs::TraceArgs extra) const {
   const Allocation& alloc = market_.Get(tracked.id);
-  obs::TraceArgs args = {{"alloc", static_cast<std::int64_t>(tracked.id)},
-                         {"market", alloc.market.zone + "/" + alloc.market.instance_type},
-                         {"count", static_cast<std::int64_t>(alloc.count)}};
-  for (auto& kv : extra) {
-    args.push_back(std::move(kv));
-  }
-  if (ledger_ != nullptr) {
-    ledger_->Record(std::string("alloc.") + event, "proteus", now_, args);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(now_, std::string("alloc.") + event, "proteus", std::move(args));
-  }
+  extra.insert(extra.begin(), {{"alloc", static_cast<std::int64_t>(tracked.id)},
+                               {"market", alloc.market.zone + "/" + alloc.market.instance_type},
+                               {"count", static_cast<std::int64_t>(alloc.count)}});
+  return extra;
+}
+
+obs::TraceArgs ProteusRuntime::ServerlessArgs(const TrackedServerless& tracked,
+                                              obs::TraceArgs extra) const {
+  const std::int64_t count = serverless_->Get(tracked.id).count;
+  extra.insert(extra.begin(), {{"alloc", static_cast<std::int64_t>(tracked.id)},
+                               {"market", std::string("serverless")},
+                               {"count", count}});
+  return extra;
 }
 
 void ProteusRuntime::UpdateCostGauges() {
-  const Money serverless_cost =
-      serverless_ != nullptr ? serverless_->TotalBill(now_) : 0.0;
-  if (ledger_ != nullptr || tracer_ != nullptr) {
-    const Money total = ComputeTotalJobBill(market_, now_).cost + serverless_cost;
-    if (ledger_ != nullptr) {
-      ledger_->Record("cost.sample", "proteus", now_, {{"dollars", total}});
-    }
-    if (tracer_ != nullptr) {
-      tracer_->CounterAt(now_, "cost_dollars", "proteus", total);
-    }
-  }
-  if (metrics_ == nullptr) {
+  if (!sinks_.active()) {
     return;
   }
-  if (total_cost_gauge_ != nullptr) {
-    total_cost_gauge_->Set(ComputeTotalJobBill(market_, now_).cost + serverless_cost);
+  const Money serverless_cost =
+      serverless_ != nullptr ? serverless_->TotalBill(now_) : 0.0;
+  const Money spot_and_reliable_cost = ComputeTotalJobBill(market_, now_).cost;
+  sinks_.Sample(obs::Ev::kCostSample, now_, spot_and_reliable_cost + serverless_cost);
+  if (!sinks_.Wants(obs::Metric::kTierCostReliable)) {
+    return;
   }
   // Per-tier cost attribution (the tab_* benches and proteus_analyze
   // read these to attribute damage and spend by reliability tier).
   const Money reliable_cost = ComputeJobBill(market_, on_demand_allocation_, now_).cost;
-  const Money transient_cost = ComputeTotalJobBill(market_, now_).cost - reliable_cost;
-  metrics_->GetGauge("proteus.tier.cost", {{"tier", "reliable"}})->Set(reliable_cost);
-  metrics_->GetGauge("proteus.tier.cost", {{"tier", "transient"}})->Set(transient_cost);
-  metrics_->GetGauge("proteus.tier.cost", {{"tier", "serverless"}})->Set(serverless_cost);
+  sinks_.Record(obs::Metric::kTierCostReliable, reliable_cost);
+  sinks_.Record(obs::Metric::kTierCostTransient, spot_and_reliable_cost - reliable_cost);
+  sinks_.Record(obs::Metric::kTierCostServerless, serverless_cost);
   // Per-allocation accumulated cost (the reliable tier is one gauge
-  // too). Ended allocations keep their final bill; ids restart at 0
-  // every run, so the label cardinality stays bounded.
+  // too). Ended allocations keep their final bill.
   for (const Allocation& alloc : market_.allocations()) {
-    obs::Gauge* g =
-        metrics_->GetGauge("proteus.alloc.cost", {{"alloc", std::to_string(alloc.id)}});
-    g->Set(ComputeJobBill(market_, alloc.id, now_).cost);
+    sinks_.RecordLabeled(obs::Metric::kAllocCost, std::to_string(alloc.id),
+                      ComputeJobBill(market_, alloc.id, now_).cost);
   }
 }
 
@@ -175,44 +150,21 @@ void ProteusRuntime::RunDecisionPoint() {
       const AllocationId alloc_id = *id;
       live_[alloc_id] = std::move(tracked);
       ++acquisitions_;
-      if (acquisitions_counter_ != nullptr) {
-        acquisitions_counter_->Increment();
-      }
-      RecordAllocEvent("bid", live_[alloc_id], {{"bid", action.bid}});
+      sinks_.Record(obs::Metric::kAllocationsAcquired, 1);
+      sinks_.EmitNamed(obs::Ev::kAlloc, "bid", now_,
+                       [&] { return AllocArgs(live_[alloc_id], {{"bid", action.bid}}); });
     } else {
       auto it = live_.find(action.target);
       if (it != live_.end() && !it->second.terminating) {
         it->second.terminating = true;
         it->second.terminate_at = market_.Get(action.target).HourEnd(now_) - 1.0;
-        RecordAllocEvent("terminate.scheduled", it->second,
-                         {{"at", it->second.terminate_at}});
+        sinks_.EmitNamed(obs::Ev::kAlloc, "terminate.scheduled", now_,
+                         [&] { return AllocArgs(it->second, {{"at", it->second.terminate_at}}); });
       }
     }
   }
   if (serverless_ != nullptr) {
     RunServerlessAcquisition();
-  }
-}
-
-void ProteusRuntime::RecordServerlessEvent(const char* event,
-                                           const TrackedServerless& tracked,
-                                           obs::TraceArgs extra) {
-  if (tracer_ == nullptr && ledger_ == nullptr) {
-    return;
-  }
-  const ServerlessAllocation& alloc = serverless_->Get(tracked.id);
-  obs::TraceArgs args = {{"alloc", static_cast<std::int64_t>(tracked.id)},
-                         {"market", std::string("serverless")},
-                         {"count", static_cast<std::int64_t>(alloc.count)}};
-  for (auto& kv : extra) {
-    args.push_back(std::move(kv));
-  }
-  if (ledger_ != nullptr) {
-    ledger_->Record(std::string("serverless.") + event, "proteus", now_, args);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(now_, std::string("serverless.") + event, "proteus",
-                       std::move(args));
   }
 }
 
@@ -265,10 +217,9 @@ void ProteusRuntime::RunServerlessAcquisition() {
     serverless_live_[alloc_id] = std::move(tracked);
     ++acquisitions_;
     ++serverless_acquisitions_;
-    if (acquisitions_counter_ != nullptr) {
-      acquisitions_counter_->Increment();
-    }
-    RecordServerlessEvent("acquired", serverless_live_[alloc_id]);
+    sinks_.Record(obs::Metric::kAllocationsAcquired, 1);
+    sinks_.EmitNamed(obs::Ev::kServerless, "acquired", now_,
+                     [&] { return ServerlessArgs(serverless_live_[alloc_id]); });
     want -= count;
   }
 }
@@ -296,12 +247,11 @@ void ProteusRuntime::ProcessServerlessEventsUntil(SimTime until) {
         // Never incorporated: the preload is simply abandoned.
         agileml_->Evict(tracked.nodes);
         ++aborted_preloads_;
-        if (aborted_counter_ != nullptr) {
-          aborted_counter_->Increment();
-        }
-        RecordServerlessEvent("aborted", tracked,
-                              {{"cause", std::string(ServerlessRevocationCauseName(
-                                    alloc.revocation_cause))}});
+        sinks_.Record(obs::Metric::kAllocationsAborted, 1);
+        sinks_.EmitNamed(obs::Ev::kServerless, "aborted", now_, [&] {
+          return ServerlessArgs(
+              tracked, {{"cause", ServerlessRevocationCauseName(alloc.revocation_cause)}});
+        });
         erase = true;
       } else {
         if (!preloading.empty()) {
@@ -311,9 +261,10 @@ void ProteusRuntime::ProcessServerlessEventsUntil(SimTime until) {
           agileml_->SetNodeRevoked(node);
         }
         tracked.revoked = true;
-        RecordServerlessEvent("revoked.silent", tracked,
-                              {{"cause", std::string(ServerlessRevocationCauseName(
-                                    alloc.revocation_cause))}});
+        sinks_.EmitNamed(obs::Ev::kServerless, "revoked.silent", now_, [&] {
+          return ServerlessArgs(
+              tracked, {{"cause", ServerlessRevocationCauseName(alloc.revocation_cause)}});
+        });
       }
       next_decision_ = until;  // React immediately (§5).
     }
@@ -340,10 +291,8 @@ void ProteusRuntime::HandleEviction(TrackedAllocation& tracked, bool warned) {
   if (!any_incorporated) {
     agileml_->Evict(tracked.nodes);  // Discards the preparing nodes.
     ++aborted_preloads_;
-    if (aborted_counter_ != nullptr) {
-      aborted_counter_->Increment();
-    }
-    RecordAllocEvent("aborted", tracked);
+    sinks_.Record(obs::Metric::kAllocationsAborted, 1);
+    sinks_.EmitNamed(obs::Ev::kAlloc, "aborted", now_, [&] { return AllocArgs(tracked); });
     PROTEUS_LOG(Debug) << "allocation " << tracked.id
                        << " revoked before incorporation; preload abandoned";
     return;
@@ -351,18 +300,16 @@ void ProteusRuntime::HandleEviction(TrackedAllocation& tracked, bool warned) {
   if (warned) {
     agileml_->Evict(tracked.nodes);
     ++evictions_;
-    if (evictions_counter_ != nullptr) {
-      evictions_counter_->Increment();
-    }
-    RecordAllocEvent("evicted", tracked);
+    sinks_.Record(obs::Metric::kAllocationsEvicted, 1);
+    sinks_.EmitNamed(obs::Ev::kAlloc, "evicted", now_, [&] { return AllocArgs(tracked); });
   } else {
     const int lost = agileml_->Fail(tracked.nodes);
     transient_lost_clocks_ += lost;
     ++failures_;
-    if (failures_counter_ != nullptr) {
-      failures_counter_->Increment();
-    }
-    RecordAllocEvent("failed", tracked, {{"lost_clocks", static_cast<std::int64_t>(lost)}});
+    sinks_.Record(obs::Metric::kAllocationsFailed, 1);
+    sinks_.EmitNamed(obs::Ev::kAlloc, "failed", now_, [&] {
+      return AllocArgs(tracked, {{"lost_clocks", static_cast<std::int64_t>(lost)}});
+    });
     PROTEUS_LOG(Debug) << "effective failure: lost " << lost << " clocks";
   }
 }
@@ -379,7 +326,7 @@ void ProteusRuntime::ProcessMarketEventsUntil(SimTime until) {
       // Planned termination just before the billing hour renews.
       market_.Terminate(tracked.id, std::max(now_, tracked.terminate_at));
       agileml_->Evict(tracked.nodes);
-      RecordAllocEvent("terminated", tracked);
+      sinks_.EmitNamed(obs::Ev::kAlloc, "terminated", now_, [&] { return AllocArgs(tracked); });
       erase = true;
     } else if (alloc.running() && alloc.eviction_time.has_value()) {
       const SimTime warning = std::max(alloc.start, *alloc.eviction_time - kEvictionWarning);
@@ -409,7 +356,8 @@ void ProteusRuntime::ProcessMarketEventsUntil(SimTime until) {
             agileml_->SetNodeSilent(node, true);
           }
           tracked.silenced = true;
-          RecordAllocEvent("failed.silent", tracked);
+          sinks_.EmitNamed(obs::Ev::kAlloc, "failed.silent", now_,
+                           [&] { return AllocArgs(tracked); });
         } else {
           HandleEviction(tracked, /*warned=*/false);
           erase = true;
@@ -445,11 +393,9 @@ void ProteusRuntime::Step() {
         ++failures_;
         ++silent_failures_;
         ++serverless_losses_;
-        if (failures_counter_ != nullptr) {
-          failures_counter_->Increment();
-        }
-        RecordServerlessEvent("failed.confirmed", tracked,
-                              {{"clock", static_cast<std::int64_t>(agileml_->clock())}});
+        sinks_.Record(obs::Metric::kAllocationsFailed, 1);
+        sinks_.EmitNamed(obs::Ev::kServerless, "failed.confirmed", now_,
+                         [&] { return ServerlessArgs(tracked, {{"clock", agileml_->clock()}}); });
         it = serverless_live_.erase(it);
       } else {
         ++it;
@@ -471,11 +417,9 @@ void ProteusRuntime::Step() {
         transient_confirmed = true;
         ++failures_;
         ++silent_failures_;
-        if (failures_counter_ != nullptr) {
-          failures_counter_->Increment();
-        }
-        RecordAllocEvent("failed.confirmed", tracked,
-                         {{"clock", static_cast<std::int64_t>(agileml_->clock())}});
+        sinks_.Record(obs::Metric::kAllocationsFailed, 1);
+        sinks_.EmitNamed(obs::Ev::kAlloc, "failed.confirmed", now_,
+                         [&] { return AllocArgs(tracked, {{"clock", agileml_->clock()}}); });
         it = live_.erase(it);
       } else {
         ++it;
@@ -509,8 +453,8 @@ void ProteusRuntime::Step() {
     for (const NodeId node : tracked.nodes) {
       if (agileml_->IsReadyNode(node)) {
         tracked.active = true;
-        RecordAllocEvent("active", tracked,
-                         {{"clock", static_cast<std::int64_t>(agileml_->clock())}});
+        sinks_.EmitNamed(obs::Ev::kAlloc, "active", now_,
+                         [&] { return AllocArgs(tracked, {{"clock", agileml_->clock()}}); });
         break;
       }
     }
@@ -522,8 +466,8 @@ void ProteusRuntime::Step() {
     for (const NodeId node : tracked.nodes) {
       if (agileml_->IsReadyNode(node)) {
         tracked.active = true;
-        RecordServerlessEvent("active", tracked,
-                              {{"clock", static_cast<std::int64_t>(agileml_->clock())}});
+        sinks_.EmitNamed(obs::Ev::kServerless, "active", now_,
+                         [&] { return ServerlessArgs(tracked, {{"clock", agileml_->clock()}}); });
         break;
       }
     }

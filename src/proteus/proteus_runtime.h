@@ -27,7 +27,7 @@
 #include "src/bidbrain/bidbrain.h"
 #include "src/market/serverless_tier.h"
 #include "src/market/spot_market.h"
-#include "src/obs/ledger.h"
+#include "src/obs/sinks.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/proteus/accounting.h"
@@ -228,12 +228,10 @@ class ProteusRuntime {
   // are only accounted once the detector confirms them dead.
   void ProcessServerlessEventsUntil(SimTime until);
   void HandleEviction(TrackedAllocation& tracked, bool warned);
-  // Emits one "alloc.<event>" instant for a serverless allocation.
-  void RecordServerlessEvent(const char* event, const TrackedServerless& tracked,
-                             obs::TraceArgs extra = {});
-  // Emits one "alloc.<event>" lifecycle instant on the "proteus" track.
-  void RecordAllocEvent(const char* event, const TrackedAllocation& tracked,
-                        obs::TraceArgs extra = {});
+  // Args of an "alloc.<event>" / "serverless.<event>" lifecycle event.
+  obs::TraceArgs AllocArgs(const TrackedAllocation& tracked, obs::TraceArgs extra = {}) const;
+  obs::TraceArgs ServerlessArgs(const TrackedServerless& tracked,
+                                obs::TraceArgs extra = {}) const;
   // Refreshes proteus.cost.dollars and the per-allocation cost gauges.
   void UpdateCostGauges();
 
@@ -268,17 +266,10 @@ class ProteusRuntime {
   int serverless_lost_clocks_ = 0;
   int serverless_acquisitions_ = 0;
 
-  // Observability sinks (optional) and cached handles. Per-allocation
-  // cost gauges are registered lazily as allocations appear; allocation
-  // ids restart at 0 every run, so cardinality stays bounded.
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Gauge* total_cost_gauge_ = nullptr;
-  obs::Counter* acquisitions_counter_ = nullptr;
-  obs::Counter* evictions_counter_ = nullptr;
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Counter* aborted_counter_ = nullptr;
+  // Observability sinks (optional). Per-allocation cost gauges register
+  // as allocations appear; allocation ids restart at 0 every run, so
+  // cardinality stays bounded.
+  obs::Sinks sinks_{"proteus"};
 };
 
 }  // namespace proteus

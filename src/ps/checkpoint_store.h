@@ -67,7 +67,7 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 #include "src/ps/clock_table.h"
 
 namespace proteus {
@@ -226,15 +226,7 @@ class CheckpointStore {
   // later epoch would reference a chunk that was never fully written.
   std::map<int, std::uint64_t> committed_versions_;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* bytes_written_counter_ = nullptr;
-  obs::Counter* bytes_restored_counter_ = nullptr;
-  obs::Counter* chunks_written_counter_ = nullptr;
-  obs::Counter* chunks_reused_counter_ = nullptr;
-  obs::Counter* epochs_committed_counter_ = nullptr;
-  obs::Counter* commit_aborts_counter_ = nullptr;
-  obs::Counter* corrupt_epochs_counter_ = nullptr;
-  obs::Counter* scrub_corrupt_counter_ = nullptr;
+  obs::Sinks sinks_{"checkpoint"};
 };
 
 // Exposed for tests: full validation of a single chunk object. Returns

@@ -187,7 +187,8 @@ void ModelStore::ApplyUpdates(std::span<const RowDelta> deltas) {
     if (idxs.empty()) {
       continue;
     }
-    const std::uint64_t t0 = metrics_ != nullptr ? NowNanos() : 0;
+    const bool timed = sinks_.Wants(obs::Metric::kPsApplyNanos);
+    const std::uint64_t t0 = timed ? NowNanos() : 0;
     Partition& part = *partitions_[static_cast<std::size_t>(p)];
     {
       std::lock_guard<std::mutex> lock(part.mu);
@@ -196,10 +197,10 @@ void ModelStore::ApplyUpdates(std::span<const RowDelta> deltas) {
       }
       part.version.fetch_add(idxs.size(), std::memory_order_relaxed);
     }
-    if (metrics_ != nullptr) {
+    if (timed) {
       const auto sh = static_cast<std::size_t>(ShardOfPartition(p));
-      apply_nanos_[sh]->Add(NowNanos() - t0);
-      apply_rows_[sh]->Add(idxs.size());
+      sinks_.Record(obs::Metric::kPsApplyNanos, NowNanos() - t0, sh);
+      sinks_.Record(obs::Metric::kPsApplyRows, idxs.size(), sh);
     }
   }
 }
@@ -517,31 +518,24 @@ double ModelStore::ShardImbalance() const {
 }
 
 void ModelStore::SetObservability(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  apply_nanos_.clear();
-  apply_rows_.clear();
-  shard_rows_.clear();
-  imbalance_gauge_ = nullptr;
-  if (metrics_ == nullptr) {
-    return;
-  }
+  sinks_.Attach(nullptr, metrics);
+  std::vector<obs::Labels> shards;
   for (int s = 0; s < options_.shards; ++s) {
-    const obs::Labels labels = {{"shard", std::to_string(s)}};
-    apply_nanos_.push_back(metrics_->GetCounter("ps.apply.nanos", labels));
-    apply_rows_.push_back(metrics_->GetCounter("ps.apply.rows", labels));
-    shard_rows_.push_back(metrics_->GetGauge("ps.shard.rows", labels));
+    shards.push_back({{"shard", std::to_string(s)}});
   }
-  imbalance_gauge_ = metrics_->GetGauge("ps.shard.imbalance");
+  sinks_.BindSeries(obs::Metric::kPsApplyNanos, shards);
+  sinks_.BindSeries(obs::Metric::kPsApplyRows, shards);
+  sinks_.BindSeries(obs::Metric::kPsShardRows, shards);
 }
 
 void ModelStore::UpdateShardGauges() {
-  if (metrics_ == nullptr) {
+  if (!sinks_.Wants(obs::Metric::kPsShardImbalance)) {
     return;
   }
   for (int s = 0; s < options_.shards; ++s) {
-    shard_rows_[static_cast<std::size_t>(s)]->Set(static_cast<double>(ShardStateOf(s).live_rows));
+    sinks_.Record(obs::Metric::kPsShardRows, ShardStateOf(s).live_rows, s);
   }
-  imbalance_gauge_->Set(ShardImbalance());
+  sinks_.Record(obs::Metric::kPsShardImbalance, ShardImbalance());
 }
 
 void ModelStore::ForEachRow(

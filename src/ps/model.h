@@ -54,7 +54,7 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 #include "src/ps/clock_table.h"  // For the Clock alias.
 
 namespace proteus {
@@ -263,11 +263,8 @@ class ModelStore {
   std::vector<std::unique_ptr<Partition>> partitions_;
 
   // Cached observability handles (see SetObservability).
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::vector<obs::Counter*> apply_nanos_;  // Per shard.
-  std::vector<obs::Counter*> apply_rows_;   // Per shard.
-  std::vector<obs::Gauge*> shard_rows_;     // Per shard.
-  obs::Gauge* imbalance_gauge_ = nullptr;
+  // ps.* metrics; the per-shard series are bound in shard order.
+  obs::Sinks sinks_{"ps"};
 };
 
 }  // namespace proteus

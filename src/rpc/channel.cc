@@ -4,6 +4,13 @@
 
 namespace proteus {
 
+namespace {
+
+// Metric series index of a message type (tags start at 1).
+std::size_t SeriesOf(MessageType type) { return static_cast<std::size_t>(type) - 1; }
+
+}  // namespace
+
 void Channel::Send(const Message& message) {
   ChannelFault fault;
   {
@@ -15,43 +22,29 @@ void Channel::Send(const Message& message) {
     std::vector<std::uint8_t> frame = EncodeMessage(message);
     bytes_sent_ += frame.size();
     ++messages_sent_;
-    if (obs::Counter* c = sent_counters_.For(type)) {
-      c->Increment();
-    }
-    if (obs::Counter* c = bytes_counters_.For(type)) {
-      c->Add(frame.size());
-    }
+    const std::size_t series = SeriesOf(type);
+    sinks_.Record(obs::Metric::kRpcMessagesSent, 1, series);
+    sinks_.Record(obs::Metric::kRpcBytesSent, frame.size(), series);
     const auto ledger_send = [&](const char* outcome) {
-      if (ledger_ != nullptr) {
-        ledger_->Record("rpc.send", "rpc", 0.0,
-                        {{"channel", ledger_name_},
-                         {"type", std::string(MessageTypeName(type))},
-                         {"bytes", static_cast<std::int64_t>(frame.size())},
-                         {"outcome", std::string(outcome)}});
-      }
+      sinks_.Emit(obs::Ev::kRpcSend, 0.0, "channel", ledger_name_, "type", MessageTypeName(type),
+                  "bytes", frame.size(), "outcome", outcome);
     };
     switch (fault.action) {
       case ChannelFault::Action::kDrop:
         ++messages_dropped_;
-        if (obs::Counter* c = dropped_counters_.For(type)) {
-          c->Increment();
-        }
+        sinks_.Record(obs::Metric::kRpcMessagesDropped, 1, series);
         ledger_send("drop");
         return;
       case ChannelFault::Action::kDelay:
         ++messages_delayed_;
-        if (obs::Counter* c = delayed_counters_.For(type)) {
-          c->Increment();
-        }
+        sinks_.Record(obs::Metric::kRpcMessagesDelayed, 1, series);
         ledger_send("delay");
         queue_.push_back({std::move(frame), type, std::max(0, fault.delay_polls)});
         return;
       case ChannelFault::Action::kDuplicate: {
         const int copies = std::max(1, fault.copies);
         messages_duplicated_ += static_cast<std::uint64_t>(copies - 1);
-        if (obs::Counter* c = duplicated_counters_.For(type)) {
-          c->Add(static_cast<std::uint64_t>(copies - 1));
-        }
+        sinks_.Record(obs::Metric::kRpcMessagesDuplicated, copies - 1, series);
         ledger_send("dup");
         for (int i = 1; i < copies; ++i) {
           queue_.push_back({frame, type, 0});
@@ -88,46 +81,30 @@ std::optional<Message> Channel::Poll() {
     const MessageType type = ready->type;
     queue_.erase(ready);
     ++messages_delivered_;
-    if (obs::Counter* c = delivered_counters_.For(type)) {
-      c->Increment();
-    }
+    sinks_.Record(obs::Metric::kRpcMessagesDelivered, 1, SeriesOf(type));
   }
   return DecodeMessage(frame);
 }
 
 void Channel::SetObservability(obs::MetricsRegistry* metrics, const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  sent_counters_ = {};
-  bytes_counters_ = {};
-  delivered_counters_ = {};
-  dropped_counters_ = {};
-  delayed_counters_ = {};
-  duplicated_counters_ = {};
-  if (metrics == nullptr) {
-    return;
+  sinks_.Attach(nullptr, metrics);
+  // Every type through kReliableFrame, in tag order.
+  std::vector<obs::Labels> series;
+  for (int tag = 1; tag <= static_cast<int>(MessageType::kReliableFrame); ++tag) {
+    series.push_back({{"channel", name}, {"type", MessageTypeName(static_cast<MessageType>(tag))}});
   }
-  constexpr MessageType kAllTypes[] = {
-      MessageType::kAppCharacteristics, MessageType::kAllocationRequest,
-      MessageType::kAllocationGrant,    MessageType::kEvictionNotice,
-      MessageType::kReadParam,          MessageType::kParamValue,
-      MessageType::kUpdateParam,        MessageType::kWorkerReady,
-      MessageType::kShardDelta,         MessageType::kReliableFrame};
-  for (const MessageType type : kAllTypes) {
-    const obs::Labels labels = {{"channel", name}, {"type", MessageTypeName(type)}};
-    const auto idx = static_cast<std::size_t>(type);
-    sent_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.sent", labels);
-    bytes_counters_.by_type[idx] = metrics->GetCounter("rpc.bytes.sent", labels);
-    delivered_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.delivered", labels);
-    dropped_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.dropped", labels);
-    delayed_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.delayed", labels);
-    duplicated_counters_.by_type[idx] =
-        metrics->GetCounter("rpc.messages.duplicated", labels);
+  for (const obs::Metric metric :
+       {obs::Metric::kRpcMessagesSent, obs::Metric::kRpcBytesSent,
+        obs::Metric::kRpcMessagesDelivered, obs::Metric::kRpcMessagesDropped,
+        obs::Metric::kRpcMessagesDelayed, obs::Metric::kRpcMessagesDuplicated}) {
+    sinks_.BindSeries(metric, series);
   }
 }
 
 void Channel::SetLedger(obs::EventLedger* ledger, const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  ledger_ = ledger;
+  sinks_.AttachLedger(ledger);
   ledger_name_ = name;
 }
 

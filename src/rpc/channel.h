@@ -12,7 +12,6 @@
 #ifndef SRC_RPC_CHANNEL_H_
 #define SRC_RPC_CHANNEL_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -20,8 +19,7 @@
 #include <optional>
 #include <string>
 
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
+#include "src/obs/sinks.h"
 #include "src/rpc/messages.h"
 
 namespace proteus {
@@ -83,26 +81,12 @@ class Channel {
     int delay_polls = 0;
   };
 
-  // Cached counter handles for one outcome, indexed by message type tag.
-  struct TypeCounters {
-    std::array<obs::Counter*, 16> by_type{};
-    obs::Counter* For(MessageType type) {
-      const auto idx = static_cast<std::size_t>(type);
-      return idx < by_type.size() ? by_type[idx] : nullptr;
-    }
-  };
-
   mutable std::mutex mu_;
   std::deque<Entry> queue_;
   ChannelFaultHook fault_hook_;
-  obs::EventLedger* ledger_ = nullptr;
+  // rpc.* series are bound per message type, at index type - 1.
+  obs::Sinks sinks_{"rpc"};
   std::string ledger_name_;
-  TypeCounters sent_counters_;
-  TypeCounters bytes_counters_;
-  TypeCounters delivered_counters_;
-  TypeCounters dropped_counters_;
-  TypeCounters delayed_counters_;
-  TypeCounters duplicated_counters_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t messages_delivered_ = 0;

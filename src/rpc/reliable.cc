@@ -36,13 +36,8 @@ void ReliableChannel::RefillWindow(double now) {
     entry.attempts = 1;
     entry.first_sent = now;
     entry.next_retx = now + NextTimeout(1);
-    if (ledger_ != nullptr) {
-      entry.send_event = ledger_->Record(
-          "rpc.send.reliable", "rpc", now,
-          {{"channel", ledger_name_},
-           {"seq", static_cast<std::int64_t>(seq)},
-           {"bytes", static_cast<std::int64_t>(entry.payload.size())}});
-    }
+    entry.send_event = sinks_.Emit(obs::Ev::kRpcSendReliable, now, "channel", ledger_name_,
+                                   "seq", seq, "bytes", entry.payload.size());
     SendDataFrame(seq, entry);
     in_flight_.emplace(seq, std::move(entry));
   }
@@ -105,14 +100,7 @@ void ReliableChannel::AcceptData(ReliableFrameMsg frame, double now) {
   const std::uint64_t seq = frame.seq;
   if (seq <= received_up_to_ || out_of_order_.count(seq) > 0) {
     ++dup_suppressed_;
-    if (dup_suppressed_counter_ != nullptr) {
-      dup_suppressed_counter_->Increment();
-    }
-    if (ledger_ != nullptr) {
-      ledger_->Record("rpc.dup_suppressed", "rpc", now,
-                      {{"channel", ledger_name_},
-                       {"seq", static_cast<std::int64_t>(seq)}});
-    }
+    sinks_.Emit(obs::Ev::kRpcDupSuppressed, now, "channel", ledger_name_, "seq", seq);
     // Re-ack so the sender learns this frame landed even if the
     // original ack was lost.
     SendAckFrame();
@@ -150,21 +138,8 @@ void ReliableChannel::Tick(double now) {
     ++entry.attempts;
     ++retransmits_;
     retransmit_log_.push_back({seq, entry.attempts, now});
-    if (retransmits_counter_ != nullptr) {
-      retransmits_counter_->Increment();
-    }
-    if (tracer_ != nullptr) {
-      tracer_->InstantAt(now, "rpc.retransmit", "rpc",
-                         {{"seq", static_cast<std::int64_t>(seq)},
-                          {"attempt", static_cast<std::int64_t>(entry.attempts)}});
-    }
-    if (ledger_ != nullptr) {
-      ledger_->RecordWithParent(
-          "rpc.retransmit", "rpc", now, entry.send_event,
-          {{"channel", ledger_name_},
-           {"seq", static_cast<std::int64_t>(seq)},
-           {"attempt", static_cast<std::int64_t>(entry.attempts)}});
-    }
+    sinks_.Emit(obs::Ev::kRpcRetransmit, {now, entry.send_event}, "channel", ledger_name_, "seq",
+                seq, "attempt", entry.attempts);
     entry.next_retx = now + NextTimeout(entry.attempts);
     SendDataFrame(seq, entry);
   }
@@ -179,23 +154,12 @@ void ReliableChannel::HandleAck(const ReliableFrameMsg& frame, double now) {
     }
     // Karn's rule: only first-attempt acks yield unambiguous RTT
     // samples.
-    if (it->second.attempts == 1 && ack_rtt_hist_ != nullptr) {
-      ack_rtt_hist_->Observe(now - it->second.first_sent);
+    if (it->second.attempts == 1) {
+      sinks_.Record(obs::Metric::kRpcAckRtt, now - it->second.first_sent);
     }
-    if (tracer_ != nullptr) {
-      tracer_->SpanAt(it->second.first_sent, now - it->second.first_sent,
-                      "rpc.delivery", "rpc",
-                      {{"seq", static_cast<std::int64_t>(seq)},
-                       {"attempts", static_cast<std::int64_t>(it->second.attempts)}});
-    }
-    if (ledger_ != nullptr) {
-      ledger_->RecordWithParent(
-          "rpc.delivery", "rpc", now, it->second.send_event,
-          {{"channel", ledger_name_},
-           {"seq", static_cast<std::int64_t>(seq)},
-           {"attempts", static_cast<std::int64_t>(it->second.attempts)},
-           {"rtt", now - it->second.first_sent}});
-    }
+    sinks_.Emit(obs::Ev::kRpcDelivery, {now, it->second.send_event, it->second.first_sent},
+                "channel", ledger_name_, "seq", seq, "attempts", it->second.attempts, "rtt",
+                now - it->second.first_sent);
     in_flight_.erase(it);
   };
   while (!in_flight_.empty() && in_flight_.begin()->first <= frame.cum_ack) {
@@ -212,24 +176,18 @@ bool ReliableChannel::Quiescent() const {
 }
 
 void ReliableChannel::SetLedger(obs::EventLedger* ledger, const std::string& name) {
-  ledger_ = ledger;
+  sinks_.AttachLedger(ledger);
   ledger_name_ = name;
 }
 
 void ReliableChannel::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                                        const std::string& name) {
-  tracer_ = tracer;
-  retransmits_counter_ = nullptr;
-  dup_suppressed_counter_ = nullptr;
-  ack_rtt_hist_ = nullptr;
-  if (metrics == nullptr) {
-    return;
+  sinks_.Attach(tracer, metrics);
+  const std::vector<obs::Labels> channel = {{{"channel", name}}};
+  for (const obs::Metric metric :
+       {obs::Metric::kRpcRetransmits, obs::Metric::kRpcDupSuppressed, obs::Metric::kRpcAckRtt}) {
+    sinks_.BindSeries(metric, channel);
   }
-  const obs::Labels labels = {{"channel", name}};
-  retransmits_counter_ = metrics->GetCounter("rpc.retransmits", labels);
-  dup_suppressed_counter_ = metrics->GetCounter("rpc.dup_delivered_suppressed", labels);
-  ack_rtt_hist_ = metrics->GetHistogram(
-      "rpc.ack_rtt", {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0}, labels);
 }
 
 }  // namespace proteus

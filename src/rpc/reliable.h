@@ -33,9 +33,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/sinks.h"
 #include "src/rpc/channel.h"
 #include "src/rpc/messages.h"
 
@@ -155,12 +153,8 @@ class ReliableChannel {
   std::uint64_t messages_delivered_ = 0;
   std::vector<RetransmitRecord> retransmit_log_;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
+  obs::Sinks sinks_{"rpc"};
   std::string ledger_name_;
-  obs::Counter* retransmits_counter_ = nullptr;
-  obs::Counter* dup_suppressed_counter_ = nullptr;
-  obs::Histogram* ack_rtt_hist_ = nullptr;
 };
 
 }  // namespace proteus

@@ -6,6 +6,7 @@
 #ifndef SRC_RPC_SERIALIZER_H_
 #define SRC_RPC_SERIALIZER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -44,8 +45,15 @@ class WireWriter {
 
  private:
   void AppendRaw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0) {
+      return;
+    }
+    const std::size_t at = buf_.size();
+    if (buf_.capacity() < at + n) {
+      buf_.reserve(std::max(at + n, 2 * buf_.capacity()));
+    }
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
   }
   std::vector<std::uint8_t> buf_;
 };

@@ -143,5 +143,36 @@ TEST(AnalyzeGolden, ReportAttributesAllTimeAndAllDollars) {
   EXPECT_EQ(checks->NumberField("ledger_gaps"), 0.0);
 }
 
+TEST(AnalyzeGolden, ReportsTheLostClocksTheMetricsSnapshotCounts) {
+  RatingsConfig rc;
+  rc.users = 200;
+  rc.items = 100;
+  rc.ratings = 6000;
+  RatingsDataset data = GenerateRatings(rc);
+  MfConfig mc;
+  mc.rank = 4;
+  MatrixFactorizationApp app(&data, mc);
+
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::EventLedger ledger;
+  ChaosHarness harness(&app, GoldenConfig(/*seed=*/7, /*parallel=*/false));
+  harness.SetObservability(&tracer, &metrics);
+  harness.SetLedger(&ledger, nullptr);
+  ASSERT_TRUE(harness.Run().ok()) << harness.auditor().Report();
+  const double lost = metrics.Snapshot().Value("agileml.rollback.lost_clocks");
+  ASSERT_GT(lost, 0.0) << "the run must roll back for this test to mean anything";
+
+  const obs::analyze::AnalyzeResult analysis = obs::analyze::AnalyzeRun(
+      ledger.ToJsonl(), tracer.ToChromeJson(), metrics.Snapshot().ToJson());
+  ASSERT_TRUE(analysis.error.empty()) << analysis.error;
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(analysis.report_json, &parsed, &error)) << error;
+  const obs::JsonValue* report_metrics = parsed.Find("metrics");
+  ASSERT_NE(report_metrics, nullptr);
+  EXPECT_EQ(report_metrics->NumberField("agileml.rollback.lost_clocks", -1.0), lost);
+}
+
 }  // namespace
 }  // namespace proteus

@@ -83,7 +83,7 @@ TEST_F(ClusterSchedulerTest, EmptyFleetRunsTheHorizonWithoutWork) {
 TEST_F(ClusterSchedulerTest, GrantsRespectCapacityAndCreditsConserve) {
   std::vector<TenantSpec> specs;
   for (int i = 0; i < 4; ++i) {
-    specs.push_back(Tenant("t" + std::to_string(i), 500.0, 12));
+    specs.push_back(Tenant(std::string("t").append(std::to_string(i)), 500.0, 12));
   }
   const FleetResult result = Run(specs, Config(10));
   ASSERT_FALSE(result.rounds.empty());
@@ -179,7 +179,7 @@ TEST_F(ClusterSchedulerTest, CancellationDuringPrepYieldsNoUsefulWork) {
 TEST_F(ClusterSchedulerTest, DigestIsByteIdenticalAcrossThreadCounts) {
   std::vector<TenantSpec> specs;
   for (int i = 0; i < 6; ++i) {
-    TenantSpec spec = Tenant("t" + std::to_string(i), 300.0, 10);
+    TenantSpec spec = Tenant(std::string("t").append(std::to_string(i)), 300.0, 10);
     spec.active_fraction = 0.6;
     spec.demand_seed = 40 + static_cast<std::uint64_t>(i);
     if (i == 4) {
