@@ -36,7 +36,7 @@ void RecoveryManager::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry
   for (int d = 0; d < 4; ++d) {
     depths.push_back({{"depth", RecoveryDepthName(static_cast<RecoveryDepth>(d))}});
   }
-  sinks_.BindSeries(obs::Metric::kRecoveryEvents, depths);
+  sinks_.BindSeries({obs::Metric::kRecoveryEvents}, depths);
 }
 
 void RecoveryManager::SetLedger(obs::EventLedger* ledger) { sinks_.AttachLedger(ledger); }

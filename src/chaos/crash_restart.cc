@@ -100,9 +100,6 @@ class CrashRestartDriver {
 
  private:
   void AttachObservability() {
-    if (tracer_ == nullptr && metrics_ == nullptr) {
-      return;
-    }
     runtime_->SetObservability(tracer_, metrics_);
     auditor_->SetObservability(tracer_, metrics_);
     recovery_->SetObservability(tracer_, metrics_);

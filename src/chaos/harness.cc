@@ -147,7 +147,7 @@ void ChaosHarness::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* m
   for (int i = 0; i < kNumFaultClasses; ++i) {
     classes.push_back({{"class", FaultClassName(static_cast<FaultClass>(i))}});
   }
-  sinks_.BindSeries(obs::Metric::kChaosFaults, classes);
+  sinks_.BindSeries({obs::Metric::kChaosFaults}, classes);
   runtime_->SetObservability(tracer, metrics);
   control_channel_.SetObservability(metrics, "controller");
   auditor_.SetObservability(tracer, metrics);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -15,17 +14,6 @@ namespace analyze {
 
 namespace {
 
-// Integer-friendly deterministic number formatting (matches the metrics
-// exporters): integral values print without a decimal point.
-std::string FormatNumber(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  return FormatJsonDouble(v);
-}
-
 void AppendField(std::string& out, const char* key, double value, bool first = false) {
   if (!first) {
     out += ',';
@@ -33,7 +21,7 @@ void AppendField(std::string& out, const char* key, double value, bool first = f
   out += '"';
   out += key;
   out += "\":";
-  out += FormatNumber(value);
+  out += FormatJsonNumber(value);
 }
 
 // One executed training clock, as read from a ledger "clock" event.
@@ -526,7 +514,7 @@ AnalyzeResult AnalyzeRun(const std::string& ledger_jsonl, const std::string& tra
       first = false;
       AppendJsonString(out, name);
       out += ':';
-      out += FormatNumber(value);
+      out += FormatJsonNumber(value);
     }
     out += '}';
   }

@@ -1,102 +1,111 @@
 // The event catalog: the one declaration of what every component emits.
 //
-// An event entry gives a kind's name, ledger component, trace shape and
-// ledger form, then (as designated initializers) the metric it updates
-// and the arg feeding it, the ledger args the trace leaves out, and any
-// trace name or track that differs. Two entries share a name where a kind
-// reaches the trace and the ledger at different moments with different
-// args ("clock", "round") or with different parenting ("rollback"); a
-// family entry ("alloc.", "fault.") stands for prefix + each variant. A
-// metric entry gives a metric's kind and name `<component>.<subject>`;
-// a labelled one its label key, and a fixed label value or none (a family
-// whose series the owner binds or that register on first use).
-// obs::Sinks turns one call per event into the tracer, ledger and metrics
-// writes; DESIGN.md §8 carries these tables (tests/obs_catalog_test.cc).
+// A metric entry gives its id, kind, name `<component>.<subject>`, label
+// key ('|' between the keys of a multi-label family) and fixed label
+// value; a labelled entry without a value is a family whose series the
+// owner binds or that register on first use. An event entry gives a
+// kind's name, ledger component, trace shape and ledger form, then (as
+// designated initializers) the metric it updates, the arg feeding it, the
+// ledger args the trace leaves out, and any trace name or track that
+// differs. Two entries share a name where a kind reaches the trace and
+// the ledger at different moments ("clock", "round") or with different
+// parenting ("rollback"); a family entry ("alloc.", "fault.") stands for
+// prefix + each variant. obs::Sinks turns one call per event into the
+// writes an entry declares; DESIGN.md §8 carries these tables.
 #ifndef SRC_OBS_CATALOG_H_
 #define SRC_OBS_CATALOG_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/obs/metrics.h"
 
-#define PROTEUS_OBS_METRICS(X, L)                                                       \
-  X(PullBytes, Counter, "agileml.pull.bytes")                                           \
-  X(PushBytes, Counter, "agileml.push.bytes")                                           \
-  X(PushCoalescedSavedBytes, Counter, "agileml.push.coalesced_saved_bytes")             \
-  X(BackupSyncBytes, Counter, "agileml.backup_sync.bytes")                              \
-  X(StageTransitions, Counter, "agileml.stage.transitions")                             \
-  X(RollbackLostClocks, Counter, "agileml.rollback.lost_clocks")                        \
-  X(StallMicroseconds, Counter, "agileml.stall.microseconds")                           \
-  X(CheckpointBytesWritten, Counter, "agileml.checkpoint.bytes_written")                \
-  X(CheckpointBytesRestored, Counter, "agileml.checkpoint.bytes_restored")              \
-  X(RestoreClocksLost, Counter, "agileml.checkpoint.restore_clocks_lost")               \
-  X(BackupLagClocks, Gauge, "agileml.backup_sync.lag_clocks")                           \
-  X(Workers, Gauge, "agileml.workers")                                                  \
-  X(DetectorSuspicions, Counter, "agileml.detector.suspicions")                         \
-  X(DetectorConfirmedDead, Counter, "agileml.detector.confirmed_dead")                  \
-  X(DetectorFalsePositives, Counter, "agileml.detector.false_positives")                \
-  X(DetectorLatencyClocks, Gauge, "agileml.detector.detection_latency_clocks")          \
-  X(ClockDuration, Histogram, "agileml.clock.duration_seconds")                         \
-  L(PsApplyNanos, Counter, "ps.apply.nanos", "shard", nullptr)                          \
-  L(PsApplyRows, Counter, "ps.apply.rows", "shard", nullptr)                            \
-  L(PsShardRows, Gauge, "ps.shard.rows", "shard", nullptr)                              \
-  X(PsShardImbalance, Gauge, "ps.shard.imbalance")                                      \
-  X(StoreBytesWritten, Counter, "checkpoint.bytes_written")                             \
-  X(StoreBytesRestored, Counter, "checkpoint.bytes_restored")                           \
-  X(StoreChunksWritten, Counter, "checkpoint.chunks_written")                           \
-  X(StoreChunksReused, Counter, "checkpoint.chunks_reused")                             \
-  X(StoreEpochsCommitted, Counter, "checkpoint.epochs_committed")                       \
-  X(StoreCommitAborts, Counter, "checkpoint.commit_aborts")                             \
-  X(StoreCorruptEpochsSkipped, Counter, "checkpoint.corrupt_epochs_skipped")            \
-  X(StoreScrubCorruptionsFound, Counter, "checkpoint.scrub_corruptions_found")          \
-  L(RecoveryEvents, Counter, "recovery.events", "depth", nullptr)                       \
-  X(RecoveryDurableRestores, Counter, "recovery.durable_restores")                      \
-  X(RecoveryCorruptEpochsSkipped, Counter, "recovery.corrupt_epochs_skipped")           \
-  X(RecoveryLastDepth, Gauge, "recovery.last_depth")                                    \
-  L(ChaosFaults, Counter, "chaos.faults", "class", nullptr)                             \
-  L(AuditViolations, Counter, "chaos.audit.violations", "invariant", nullptr)           \
-  X(ProteusCost, Gauge, "proteus.cost.dollars")                                         \
-  L(AllocationsAcquired, Counter, "proteus.allocations", "event", "acquired")           \
-  L(AllocationsEvicted, Counter, "proteus.allocations", "event", "evicted")             \
-  L(AllocationsFailed, Counter, "proteus.allocations", "event", "failed")               \
-  L(AllocationsAborted, Counter, "proteus.allocations", "event", "aborted")             \
-  L(TierCostReliable, Gauge, "proteus.tier.cost", "tier", "reliable")                   \
-  L(TierCostTransient, Gauge, "proteus.tier.cost", "tier", "transient")                 \
-  L(TierCostServerless, Gauge, "proteus.tier.cost", "tier", "serverless")               \
-  L(AllocCost, Gauge, "proteus.alloc.cost", "alloc", nullptr)                           \
-  X(BidBrainDecisions, Counter, "bidbrain.decisions")                                   \
-  L(BidBrainAcquires, Counter, "bidbrain.actions", "kind", "acquire")                   \
-  L(BidBrainTerminations, Counter, "bidbrain.actions", "kind", "terminate")             \
-  X(BidBrainCostPerWork, Gauge, "bidbrain.cost_per_work")                               \
-  X(ClusterRounds, Counter, "cluster.rounds")                                           \
-  X(ClusterPreemptedSlots, Counter, "cluster.preempted.slots")                          \
-  X(ClusterEvictions, Counter, "cluster.evictions")                                     \
-  X(ClusterOnDemandSlots, Counter, "cluster.on_demand.slots")                           \
-  X(ClusterUtilizationMean, Gauge, "cluster.utilization.mean")                          \
-  X(ClusterJainLong, Gauge, "cluster.fairness.jain_long")                               \
-  X(ClusterJainShort, Gauge, "cluster.fairness.jain_short")                             \
-  X(ClusterCost, Gauge, "cluster.cost.dollars")                                         \
-  L(TenantAllocatedHours, Gauge, "cluster.tenant.allocated_hours", "tenant", nullptr)   \
-  L(TenantUsefulHours, Gauge, "cluster.tenant.useful_hours", "tenant", nullptr)         \
-  L(TenantCredits, Gauge, "cluster.tenant.credits", "tenant", nullptr)                  \
-  L(TenantCost, Gauge, "cluster.tenant.cost.dollars", "tenant", nullptr)                \
-  L(BacktestCells, Counter, "backtest.cells", "policy", nullptr)                        \
-  L(BacktestCellsIncomplete, Counter, "backtest.cells.incomplete", "policy", nullptr)   \
-  L(BacktestCellCost, Histogram, "backtest.cell.cost", "policy", nullptr)               \
-  L(BacktestMeanCost, Gauge, "backtest.policy.mean_cost", "policy", nullptr)            \
-  L(BacktestMeanCostPerWork, Gauge, "backtest.policy.mean_cost_per_work", "policy", nullptr) \
-  L(BacktestFreeFraction, Gauge, "backtest.policy.free_fraction", "policy", nullptr)    \
-  L(BacktestMachineHours, Gauge, "backtest.policy.machine_hours", "policy", nullptr)    \
-  L(RpcMessagesSent, Counter, "rpc.messages.sent", "channel|type", nullptr)             \
-  L(RpcBytesSent, Counter, "rpc.bytes.sent", "channel|type", nullptr)                   \
-  L(RpcMessagesDelivered, Counter, "rpc.messages.delivered", "channel|type", nullptr)   \
-  L(RpcMessagesDropped, Counter, "rpc.messages.dropped", "channel|type", nullptr)       \
-  L(RpcMessagesDelayed, Counter, "rpc.messages.delayed", "channel|type", nullptr)       \
-  L(RpcMessagesDuplicated, Counter, "rpc.messages.duplicated", "channel|type", nullptr) \
-  L(RpcRetransmits, Counter, "rpc.retransmits", "channel", nullptr)                     \
-  L(RpcDupSuppressed, Counter, "rpc.dup_delivered_suppressed", "channel", nullptr)      \
-  L(RpcAckRtt, Histogram, "rpc.ack_rtt", "channel", nullptr)
+namespace proteus {
+namespace obs {
+
+// Histogram bucket bounds.
+inline constexpr double kClockSeconds[] = {0.1,  0.25, 0.5,  1.0,   2.5,  5.0,
+                                           10.0, 25.0, 60.0, 120.0, 300.0};
+inline constexpr double kCellDollars[] = {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0};
+inline constexpr double kAckRttSeconds[] = {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0};
+
+#define PROTEUS_OBS_METRICS(X)                                                                   \
+  X(PullBytes, Counter, "agileml.pull.bytes")                                                    \
+  X(PushBytes, Counter, "agileml.push.bytes")                                                    \
+  X(PushCoalescedSavedBytes, Counter, "agileml.push.coalesced_saved_bytes")                      \
+  X(BackupSyncBytes, Counter, "agileml.backup_sync.bytes")                                       \
+  X(StageTransitions, Counter, "agileml.stage.transitions")                                      \
+  X(RollbackLostClocks, Counter, "agileml.rollback.lost_clocks")                                 \
+  X(StallMicroseconds, Counter, "agileml.stall.microseconds")                                    \
+  X(CheckpointBytesWritten, Counter, "agileml.checkpoint.bytes_written")                         \
+  X(CheckpointBytesRestored, Counter, "agileml.checkpoint.bytes_restored")                       \
+  X(RestoreClocksLost, Counter, "agileml.checkpoint.restore_clocks_lost")                        \
+  X(BackupLagClocks, Gauge, "agileml.backup_sync.lag_clocks")                                    \
+  X(Workers, Gauge, "agileml.workers")                                                           \
+  X(DetectorSuspicions, Counter, "agileml.detector.suspicions")                                  \
+  X(DetectorConfirmedDead, Counter, "agileml.detector.confirmed_dead")                           \
+  X(DetectorFalsePositives, Counter, "agileml.detector.false_positives")                         \
+  X(DetectorLatencyClocks, Gauge, "agileml.detector.detection_latency_clocks")                   \
+  X(ClockDuration, Histogram, "agileml.clock.duration_seconds", nullptr, nullptr, kClockSeconds) \
+  X(PsApplyNanos, Counter, "ps.apply.nanos", "shard")                                            \
+  X(PsApplyRows, Counter, "ps.apply.rows", "shard")                                              \
+  X(PsShardRows, Gauge, "ps.shard.rows", "shard")                                                \
+  X(PsShardImbalance, Gauge, "ps.shard.imbalance")                                               \
+  X(StoreBytesWritten, Counter, "checkpoint.bytes_written")                                      \
+  X(StoreBytesRestored, Counter, "checkpoint.bytes_restored")                                    \
+  X(StoreChunksWritten, Counter, "checkpoint.chunks_written")                                    \
+  X(StoreChunksReused, Counter, "checkpoint.chunks_reused")                                      \
+  X(StoreEpochsCommitted, Counter, "checkpoint.epochs_committed")                                \
+  X(StoreCommitAborts, Counter, "checkpoint.commit_aborts")                                      \
+  X(StoreCorruptEpochsSkipped, Counter, "checkpoint.corrupt_epochs_skipped")                     \
+  X(StoreScrubCorruptionsFound, Counter, "checkpoint.scrub_corruptions_found")                   \
+  X(RecoveryEvents, Counter, "recovery.events", "depth")                                         \
+  X(RecoveryDurableRestores, Counter, "recovery.durable_restores")                               \
+  X(RecoveryCorruptEpochsSkipped, Counter, "recovery.corrupt_epochs_skipped")                    \
+  X(RecoveryLastDepth, Gauge, "recovery.last_depth")                                             \
+  X(ChaosFaults, Counter, "chaos.faults", "class")                                               \
+  X(AuditViolations, Counter, "chaos.audit.violations", "invariant")                             \
+  X(ProteusCost, Gauge, "proteus.cost.dollars")                                                  \
+  X(AllocationsAcquired, Counter, "proteus.allocations", "event", "acquired")                    \
+  X(AllocationsEvicted, Counter, "proteus.allocations", "event", "evicted")                      \
+  X(AllocationsFailed, Counter, "proteus.allocations", "event", "failed")                        \
+  X(AllocationsAborted, Counter, "proteus.allocations", "event", "aborted")                      \
+  X(TierCostReliable, Gauge, "proteus.tier.cost", "tier", "reliable")                            \
+  X(TierCostTransient, Gauge, "proteus.tier.cost", "tier", "transient")                          \
+  X(TierCostServerless, Gauge, "proteus.tier.cost", "tier", "serverless")                        \
+  X(AllocCost, Gauge, "proteus.alloc.cost", "alloc")                                             \
+  X(BidBrainDecisions, Counter, "bidbrain.decisions")                                            \
+  X(BidBrainAcquires, Counter, "bidbrain.actions", "kind", "acquire")                            \
+  X(BidBrainTerminations, Counter, "bidbrain.actions", "kind", "terminate")                      \
+  X(BidBrainCostPerWork, Gauge, "bidbrain.cost_per_work")                                        \
+  X(ClusterRounds, Counter, "cluster.rounds")                                                    \
+  X(ClusterPreemptedSlots, Counter, "cluster.preempted.slots")                                   \
+  X(ClusterEvictions, Counter, "cluster.evictions")                                              \
+  X(ClusterOnDemandSlots, Counter, "cluster.on_demand.slots")                                    \
+  X(ClusterUtilizationMean, Gauge, "cluster.utilization.mean")                                   \
+  X(ClusterJainLong, Gauge, "cluster.fairness.jain_long")                                        \
+  X(ClusterJainShort, Gauge, "cluster.fairness.jain_short")                                      \
+  X(ClusterCost, Gauge, "cluster.cost.dollars")                                                  \
+  X(TenantAllocatedHours, Gauge, "cluster.tenant.allocated_hours", "tenant")                     \
+  X(TenantUsefulHours, Gauge, "cluster.tenant.useful_hours", "tenant")                           \
+  X(TenantCredits, Gauge, "cluster.tenant.credits", "tenant")                                    \
+  X(TenantCost, Gauge, "cluster.tenant.cost.dollars", "tenant")                                  \
+  X(BacktestCells, Counter, "backtest.cells", "policy")                                          \
+  X(BacktestCellsIncomplete, Counter, "backtest.cells.incomplete", "policy")                     \
+  X(BacktestCellCost, Histogram, "backtest.cell.cost", "policy", nullptr, kCellDollars)          \
+  X(BacktestMeanCost, Gauge, "backtest.policy.mean_cost", "policy")                              \
+  X(BacktestMeanCostPerWork, Gauge, "backtest.policy.mean_cost_per_work", "policy")              \
+  X(BacktestFreeFraction, Gauge, "backtest.policy.free_fraction", "policy")                      \
+  X(BacktestMachineHours, Gauge, "backtest.policy.machine_hours", "policy")                      \
+  X(RpcMessagesSent, Counter, "rpc.messages.sent", "channel|type")                               \
+  X(RpcBytesSent, Counter, "rpc.bytes.sent", "channel|type")                                     \
+  X(RpcMessagesDelivered, Counter, "rpc.messages.delivered", "channel|type")                     \
+  X(RpcMessagesDropped, Counter, "rpc.messages.dropped", "channel|type")                         \
+  X(RpcMessagesDelayed, Counter, "rpc.messages.delayed", "channel|type")                         \
+  X(RpcMessagesDuplicated, Counter, "rpc.messages.duplicated", "channel|type")                   \
+  X(RpcRetransmits, Counter, "rpc.retransmits", "channel")                                       \
+  X(RpcDupSuppressed, Counter, "rpc.dup_delivered_suppressed", "channel")                        \
+  X(RpcAckRtt, Histogram, "rpc.ack_rtt", "channel", nullptr, kAckRttSeconds)
 
 #define PROTEUS_OBS_EVENTS(X)                                                                    \
   X(Clock, "clock", "agileml", None, Region)                                                     \
@@ -167,31 +176,25 @@
   X(RpcDelivery, "rpc.delivery", "rpc", Span, Parented, .trace_drop = "channel|rtt")             \
   X(RpcDupSuppressed, "rpc.dup_suppressed", "rpc", None, Record, .metric = M::kRpcDupSuppressed)
 
-namespace proteus {
-namespace obs {
-
-#define PROTEUS_OBS_ENUMERATOR(id, ...) k##id,
-enum class Metric : std::uint16_t {
-  kNone,
-  PROTEUS_OBS_METRICS(PROTEUS_OBS_ENUMERATOR, PROTEUS_OBS_ENUMERATOR) kCount
-};
-enum class Ev : std::uint16_t { PROTEUS_OBS_EVENTS(PROTEUS_OBS_ENUMERATOR) kCount };
-#undef PROTEUS_OBS_ENUMERATOR
-
-struct MetricSpec {
-  MetricKind kind = MetricKind::kCounter;
-  const char* name = "";
-  const char* label = nullptr;  // '|' separates the keys of a multi-label family.
-  const char* label_value = nullptr;
-  std::vector<double> bounds;  // Histogram bucket bounds.
-};
-
 enum class TraceShape : std::uint8_t { kNone, kInstant, kSpan, kCounter };
 enum class LedgerForm : std::uint8_t {
   kNone,
   kRecord,    // Leaf parented to the innermost open region.
   kParented,  // Leaf with an explicit causal parent.
   kRegion,    // Open ... Close causal region.
+};
+
+#define PROTEUS_OBS_ID(id, ...) k##id,
+enum class Metric : std::uint16_t { kNone, PROTEUS_OBS_METRICS(PROTEUS_OBS_ID) };
+enum class Ev : std::uint16_t { PROTEUS_OBS_EVENTS(PROTEUS_OBS_ID) };
+#undef PROTEUS_OBS_ID
+
+struct MetricSpec {
+  MetricKind kind = MetricKind::kCounter;
+  const char* name = "";
+  const char* label = nullptr;
+  const char* label_value = nullptr;
+  std::span<const double> bounds = {};
 };
 
 struct EventSpec {
@@ -213,8 +216,21 @@ struct EventSpec {
 };
 
 // Indexed by Metric / Ev.
-const std::vector<MetricSpec>& MetricCatalog();
-const std::vector<EventSpec>& EventCatalog();
+inline std::span<const MetricSpec> MetricCatalog() {
+#define PROTEUS_OBS_METRIC(id, kind, ...) {MetricKind::k##kind, __VA_ARGS__},
+  static constexpr MetricSpec kMetrics[] = {{}, PROTEUS_OBS_METRICS(PROTEUS_OBS_METRIC)};
+#undef PROTEUS_OBS_METRIC
+  return kMetrics;
+}
+inline std::span<const EventSpec> EventCatalog() {
+  using M = Metric;
+#define PROTEUS_OBS_EVENT(id, kind, ledger_component, trace_shape, ledger_form, ...) \
+  {.name = kind, .component = ledger_component, .shape = TraceShape::k##trace_shape,    \
+   .form = LedgerForm::k##ledger_form, __VA_ARGS__},
+  static constexpr EventSpec kEvents[] = {PROTEUS_OBS_EVENTS(PROTEUS_OBS_EVENT)};
+#undef PROTEUS_OBS_EVENT
+  return kEvents;
+}
 inline const MetricSpec& Spec(Metric id) { return MetricCatalog()[static_cast<std::size_t>(id)]; }
 inline const EventSpec& Spec(Ev id) { return EventCatalog()[static_cast<std::size_t>(id)]; }
 inline const char* MetricName(Metric id) { return Spec(id).name; }

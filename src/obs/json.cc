@@ -61,6 +61,13 @@ void AppendJsonNumber(std::string& out, double v) { out += FormatJsonDouble(v); 
 
 void AppendJsonNumber(std::string& out, std::int64_t v) { out += std::to_string(v); }
 
+std::string FormatJsonNumber(double v) {
+  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
+    return std::to_string(static_cast<long long>(v));
+  }
+  return FormatJsonDouble(v);
+}
+
 // ---------------------------------------------------------------------
 // Parser.
 

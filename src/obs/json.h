@@ -37,6 +37,9 @@ void AppendJsonString(std::string& out, std::string_view s);
 std::string FormatJsonDouble(double v);
 void AppendJsonNumber(std::string& out, double v);
 void AppendJsonNumber(std::string& out, std::int64_t v);
+// Integral values below 1e15 print as integers ("%lld"), the rest as
+// FormatJsonDouble; the metrics exporters and the analyze report use it.
+std::string FormatJsonNumber(double v);
 
 // ---------------------------------------------------------------------
 // Minimal JSON parser (reader side of the writers above).

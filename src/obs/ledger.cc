@@ -21,25 +21,7 @@ void AppendLedgerEventJson(std::string& out, const LedgerEvent& event) {
   AppendJsonString(out, event.kind);
   out += ",\"component\":";
   AppendJsonString(out, event.component);
-  if (!event.args.empty()) {
-    out += ",\"args\":{";
-    for (std::size_t i = 0; i < event.args.size(); ++i) {
-      if (i > 0) {
-        out += ',';
-      }
-      AppendJsonString(out, event.args[i].first);
-      out += ':';
-      const TraceValue& value = event.args[i].second;
-      if (const auto* s = std::get_if<std::string>(&value)) {
-        AppendJsonString(out, *s);
-      } else if (const auto* n = std::get_if<std::int64_t>(&value)) {
-        AppendJsonNumber(out, *n);
-      } else {
-        AppendJsonNumber(out, std::get<double>(value));
-      }
-    }
-    out += '}';
-  }
+  AppendArgsJson(out, event.args);
   out += '}';
 }
 

@@ -1,8 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -12,18 +10,6 @@ namespace proteus {
 namespace obs {
 
 namespace {
-
-// Deterministic number formatting shared by the text/CSV/JSON
-// exporters: integers print without a decimal point, everything else as
-// %.9g (non-finite clamped by FormatJsonDouble so JSON stays valid).
-std::string FormatValue(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  return FormatJsonDouble(v);
-}
 
 Labels SortedLabels(Labels labels) {
   std::sort(labels.begin(), labels.end());
@@ -103,7 +89,7 @@ std::string MetricsSnapshot::ToText() const {
     if (!point.labels.empty()) {
       out << '{' << FormatLabels(point.labels) << '}';
     }
-    out << ' ' << MetricKindName(point.kind) << ' ' << FormatValue(point.value);
+    out << ' ' << MetricKindName(point.kind) << ' ' << FormatJsonNumber(point.value);
     if (point.kind == MetricKind::kHistogram) {
       out << " count=" << point.count << " buckets=";
       for (std::size_t i = 0; i < point.buckets.size(); ++i) {
@@ -126,7 +112,7 @@ std::string MetricsSnapshot::ToCsv() const {
     std::string labels = FormatLabels(point.labels);
     std::replace(labels.begin(), labels.end(), ',', ';');
     out << point.name << ',' << labels << ',' << MetricKindName(point.kind) << ','
-        << FormatValue(point.value) << ',' << point.count << '\n';
+        << FormatJsonNumber(point.value) << ',' << point.count << '\n';
   }
   return out.str();
 }
@@ -150,7 +136,7 @@ std::string MetricsSnapshot::ToJson() const {
     out += "},\"kind\":";
     AppendJsonString(out, MetricKindName(point.kind));
     out += ",\"value\":";
-    out += FormatValue(point.value);
+    out += FormatJsonNumber(point.value);
     if (point.kind == MetricKind::kHistogram) {
       out += ",\"count\":" + std::to_string(point.count);
       out += ",\"bounds\":[";

@@ -1,8 +1,6 @@
 #include "src/obs/sinks.h"
 
 #include <algorithm>
-#include <cstring>
-#include <utility>
 #include <variant>
 
 #include "src/common/logging.h"
@@ -12,8 +10,6 @@ namespace proteus {
 namespace obs {
 
 namespace {
-
-bool IsDurFeed(const char* feed) { return feed != nullptr && std::strcmp(feed, "dur") == 0; }
 
 // True when `key` is one of the '|'-separated names in `list`.
 bool InList(const char* list, std::string_view key) {
@@ -42,65 +38,49 @@ void Sinks::Series::Update(double value) const {
 void Sinks::Attach(Tracer* tracer, MetricsRegistry* metrics) {
   tracer_ = tracer;
   metrics_ = metrics;
-  slots_.assign(metrics_ != nullptr ? MetricCatalog().size() : 0, {});
+  slots_.assign(metrics != nullptr ? MetricCatalog().size() : 0, {});
   for (std::size_t i = 1; i < slots_.size(); ++i) {
     const MetricSpec& spec = MetricCatalog()[i];
     // Families without a fixed label value are bound by their owner.
-    if (Owns(spec) && (spec.label == nullptr || spec.label_value != nullptr)) {
-      slots_[i].push_back(spec.label == nullptr
-                              ? Register(spec, {})
-                              : Register(spec, {{spec.label, spec.label_value}}));
+    if (std::string_view(spec.name).starts_with(component_ + ".") &&
+        (spec.label == nullptr || spec.label_value != nullptr)) {
+      slots_[i].push_back(Register(static_cast<Metric>(i),
+                                   spec.label != nullptr ? Labels{{spec.label, spec.label_value}}
+                                                         : Labels{}));
     }
   }
 }
 
-bool Sinks::Owns(const MetricSpec& spec) const {
-  return std::string_view(spec.name).substr(0, component_.size() + 1) == component_ + ".";
-}
-
-void Sinks::AttachLedger(EventLedger* ledger, FlightRecorder* recorder) {
-  ledger_ = ledger;
-  recorder_ = recorder;
-}
-
-Sinks::Series Sinks::Register(const MetricSpec& spec, const Labels& labels) const {
-  Series series;
-  if (spec.kind == MetricKind::kCounter) {
-    series.counter = metrics_->GetCounter(spec.name, labels);
-  } else if (spec.kind == MetricKind::kGauge) {
-    series.gauge = metrics_->GetGauge(spec.name, labels);
-  } else {
-    series.histogram = metrics_->GetHistogram(spec.name, spec.bounds, labels);
+Sinks::Series Sinks::Register(Metric id, const Labels& labels) const {
+  const MetricSpec& spec = Spec(id);
+  PROTEUS_CHECK(std::string_view(spec.name).starts_with(component_ + "."))
+      << spec.name << " is not a " << component_ << " metric";
+  switch (spec.kind) {
+    case MetricKind::kCounter:
+      return {.counter = metrics_->GetCounter(spec.name, labels)};
+    case MetricKind::kGauge:
+      return {.gauge = metrics_->GetGauge(spec.name, labels)};
+    case MetricKind::kHistogram:
+      break;
   }
-  return series;
+  return {.histogram = metrics_->GetHistogram(
+              spec.name, std::vector<double>(spec.bounds.begin(), spec.bounds.end()), labels)};
 }
 
-void Sinks::BindSeries(Metric id, const std::vector<Labels>& series) {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  PROTEUS_CHECK(Owns(Spec(id))) << Spec(id).name << " is not a " << component_ << " metric";
-  std::vector<Series>& slot = slots_[static_cast<std::size_t>(id)];
-  slot.clear();
-  for (const Labels& labels : series) {
-    slot.push_back(Register(Spec(id), labels));
+void Sinks::BindSeries(std::initializer_list<Metric> ids, const std::vector<Labels>& series) {
+  for (const Metric id : metrics_ != nullptr ? ids : std::initializer_list<Metric>{}) {
+    std::vector<Series>& slot = slots_[static_cast<std::size_t>(id)];
+    slot.clear();
+    for (const Labels& labels : series) {
+      slot.push_back(Register(id, labels));
+    }
   }
 }
 
 void Sinks::RecordLabeled(Metric id, const std::string& label, double value) const {
-  if (metrics_ == nullptr) {
-    return;
+  if (metrics_ != nullptr) {
+    Register(id, {{Spec(id).label, label}}).Update(value);
   }
-  std::vector<Series>& slot = slots_[static_cast<std::size_t>(id)];
-  for (const Series& series : slot) {
-    if (series.label == label) {
-      series.Update(value);
-      return;
-    }
-  }
-  slot.push_back(Register(Spec(id), {{Spec(id).label, label}}));
-  slot.back().label = label;
-  slot.back().Update(value);
 }
 
 bool Sinks::DumpFlightRecorder(const std::string& reason, EventId anchor) const {
@@ -110,12 +90,6 @@ bool Sinks::DumpFlightRecorder(const std::string& reason, EventId anchor) const 
   return recorder_ != nullptr;
 }
 
-bool Sinks::UsesArgs(const EventSpec& spec) const {
-  return (tracer_ != nullptr && spec.shape != TraceShape::kNone) ||
-         (ledger_ != nullptr && spec.form != LedgerForm::kNone) ||
-         (spec.feed != nullptr && !IsDurFeed(spec.feed) && Wants(spec.metric));
-}
-
 void Sinks::UpdateMetric(const EventSpec& spec, double ts, double dur,
                          const TraceArgs& args) const {
   const Series* series = Handle(spec.metric, 0);
@@ -123,14 +97,12 @@ void Sinks::UpdateMetric(const EventSpec& spec, double ts, double dur,
     return;
   }
   double value = spec.feed == nullptr ? 1.0 : dur;
-  if (spec.feed != nullptr && !IsDurFeed(spec.feed)) {
-    const TraceValue* arg = nullptr;
-    for (const auto& [key, v] : args) {
-      arg = key == spec.feed ? &v : arg;
-    }
-    PROTEUS_CHECK(arg != nullptr) << spec.name << " has no feed arg " << spec.feed;
-    const auto* i = std::get_if<std::int64_t>(arg);
-    value = i != nullptr ? static_cast<double>(*i) : std::get<double>(*arg);
+  if (spec.feed != nullptr && std::string_view(spec.feed) != "dur") {
+    const auto arg = std::find_if(args.begin(), args.end(),
+                                  [&](const auto& kv) { return kv.first == spec.feed; });
+    PROTEUS_CHECK(arg != args.end()) << spec.name << " has no feed arg " << spec.feed;
+    const auto* i = std::get_if<std::int64_t>(&arg->second);
+    value = i != nullptr ? static_cast<double>(*i) : std::get<double>(arg->second);
   }
   series->Update(value);
   if (spec.sample != nullptr && tracer_ != nullptr) {
@@ -141,11 +113,12 @@ void Sinks::UpdateMetric(const EventSpec& spec, double ts, double dur,
 
 EventId Sinks::Dispatch(const EventSpec& spec, const At& at, double dur,
                         std::string_view suffix, TraceArgs args) const {
+  PROTEUS_CHECK(spec.shape != TraceShape::kCounter && spec.form != LedgerForm::kRegion)
+      << spec.name << " takes Sample() or Open()";
   UpdateMetric(spec, at.ts, dur, args);
   std::string name = spec.name;
   name.append(suffix);
   if (tracer_ != nullptr && spec.shape != TraceShape::kNone) {
-    PROTEUS_CHECK(spec.shape != TraceShape::kCounter) << spec.name << " takes Sample()";
     TraceArgs trace_args;
     for (const auto& arg : args) {
       if (!InList(spec.trace_drop, arg.first)) {
@@ -161,7 +134,6 @@ EventId Sinks::Dispatch(const EventSpec& spec, const At& at, double dur,
   if (ledger_ == nullptr || spec.form == LedgerForm::kNone) {
     return kNoEvent;
   }
-  PROTEUS_CHECK(spec.form != LedgerForm::kRegion) << spec.name << " takes Open()";
   return spec.form == LedgerForm::kParented
              ? ledger_->RecordWithParent(std::move(name), spec.component, at.ts, at.parent,
                                          std::move(args))
@@ -178,11 +150,6 @@ void Sinks::Sample(Ev id, double ts, double value) const {
   if (ledger_ != nullptr && spec.form == LedgerForm::kRecord) {
     ledger_->Record(spec.name, spec.component, ts, {{spec.feed, value}});
   }
-}
-
-EventId Sinks::OpenRegion(Ev id, double ts, TraceArgs args) const {
-  PROTEUS_CHECK(Spec(id).form == LedgerForm::kRegion) << Spec(id).name << " is not a region";
-  return ledger_->Open(Spec(id).name, Spec(id).component, ts, std::move(args));
 }
 
 }  // namespace obs

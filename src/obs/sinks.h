@@ -6,11 +6,12 @@
 // returning TraceArgs, and are built only when an attached sink reads
 // them. Metric handles resolve on attach, so an update is a relaxed
 // atomic on a stable handle, safe from any thread; attaching, binding and
-// first-use labelled series belong on the owner's serial control path.
+// labelled series belong on the owner's serial control path.
 #ifndef SRC_OBS_SINKS_H_
 #define SRC_OBS_SINKS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -44,27 +45,30 @@ class Sinks {
   explicit Sinks(std::string component) : component_(std::move(component)) {}
 
   // Either may be nullptr. Attaching metrics registers the component's
-  // unlabelled and fixed-label catalog metrics; re-attaching drops every
-  // resolved handle.
+  // unlabelled and fixed-label catalog metrics and drops bound series.
   void Attach(Tracer* tracer, MetricsRegistry* metrics);
-  void AttachLedger(EventLedger* ledger, FlightRecorder* recorder = nullptr);
+  void AttachLedger(EventLedger* ledger, FlightRecorder* recorder = nullptr) {
+    ledger_ = ledger;
+    recorder_ = recorder;
+  }
   // True when any sink is attached: gates work done only to feed them.
   bool active() const { return tracer_ != nullptr || ledger_ != nullptr || metrics_ != nullptr; }
-  // Registers the series of family `id` in index order. No-op without metrics.
-  void BindSeries(Metric id, const std::vector<Labels>& series);
+  // Registers the series of each family in `ids`, in index order. No-op
+  // without metrics.
+  void BindSeries(std::initializer_list<Metric> ids, const std::vector<Labels>& series);
 
   // Instant, zero-length span, span from at.span_start, ledger record:
-  // whatever the entry declares. Returns the ledger id.
+  // whatever the entry declares. Returns the ledger id. EmitNamed emits
+  // member `suffix` of a family entry, EmitSpan the span [start, start +
+  // dur] of an entry without a ledger form.
   template <typename... Args>
   EventId Emit(Ev id, const At& at, const Args&... args) const {
     return active() ? Route(id, at, at.ts - at.span_start, {}, args...) : kNoEvent;
   }
-  // Member `suffix` of a family entry.
   template <typename... Args>
   EventId EmitNamed(Ev id, std::string_view suffix, const At& at, const Args&... args) const {
     return active() ? Route(id, at, 0.0, suffix, args...) : kNoEvent;
   }
-  // Span [start, start + dur] of an entry with no ledger form.
   template <typename... Args>
   void EmitSpan(Ev id, double start, double dur, const Args&... args) const {
     if (active()) {
@@ -77,7 +81,9 @@ class Sinks {
   // Ledger region; closing kNoEvent is a no-op.
   template <typename... Args>
   EventId Open(Ev id, double ts, const Args&... args) const {
-    return ledger_ != nullptr ? OpenRegion(id, ts, MakeArgs(args...)) : kNoEvent;
+    return ledger_ != nullptr ? ledger_->Open(Spec(id).name, Spec(id).component, ts,
+                                              MakeArgs(args...))
+                              : kNoEvent;
   }
   template <typename... Args>
   void Close(EventId region, double dur, const Args&... args) const {
@@ -88,7 +94,7 @@ class Sinks {
 
   // Metric updates outside an event: a counter adds `value`, a gauge
   // takes it, a histogram observes it. `series` indexes a bound family;
-  // `label` selects (or registers) a series of a one-label family.
+  // `label` names the series of a one-label family.
   bool Wants(Metric id) const { return Handle(id, 0) != nullptr; }
   void Record(Metric id, double value, std::size_t series = 0) const {
     if (const Series* s = Handle(id, series)) {
@@ -106,25 +112,13 @@ class Sinks {
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
     Histogram* histogram = nullptr;
-    std::string label;
   };
 
-  template <typename V>
-  static TraceValue Value(const V& v) {
-    if constexpr (std::is_integral_v<V>) {
-      return static_cast<std::int64_t>(v);
-    } else if constexpr (std::is_floating_point_v<V>) {
-      return static_cast<double>(v);
-    } else {
-      return std::string(v);
-    }
-  }
   template <typename... Args>
   static TraceArgs MakeArgs(const Args&... args) {
     if constexpr (sizeof...(Args) == 1 && (std::is_invocable_v<Args> && ...)) {
       return (args(), ...);
     } else {
-      static_assert(sizeof...(Args) % 2 == 0, "args are key, value pairs");
       TraceArgs out;
       out.reserve(sizeof...(Args) / 2);
       Append(out, args...);
@@ -134,7 +128,13 @@ class Sinks {
   static void Append(TraceArgs&) {}
   template <typename V, typename... Rest>
   static void Append(TraceArgs& out, const char* key, const V& value, const Rest&... rest) {
-    out.emplace_back(key, Value(value));
+    if constexpr (std::is_integral_v<V>) {
+      out.emplace_back(key, static_cast<std::int64_t>(value));
+    } else if constexpr (std::is_floating_point_v<V>) {
+      out.emplace_back(key, static_cast<double>(value));
+    } else {
+      out.emplace_back(key, std::string(value));
+    }
     Append(out, rest...);
   }
 
@@ -145,24 +145,23 @@ class Sinks {
     const std::vector<Series>& slot = slots_[static_cast<std::size_t>(id)];
     return series < slot.size() ? &slot[series] : nullptr;
   }
-  bool Owns(const MetricSpec& spec) const;
-  Series Register(const MetricSpec& spec, const Labels& labels) const;
-  // True when an attached sink reads the args of `spec`.
-  bool UsesArgs(const EventSpec& spec) const;
+  Series Register(Metric id, const Labels& labels) const;
+  // Args are built only when an attached sink reads them.
   template <typename... Args>
   EventId Route(Ev id, const At& at, double dur, std::string_view suffix,
                 const Args&... args) const {
     const EventSpec& spec = Spec(id);
-    if (!UsesArgs(spec)) {
-      UpdateMetric(spec, at.ts, dur, {});
-      return kNoEvent;
+    const bool feeds = spec.feed != nullptr && std::string_view(spec.feed) != "dur";
+    if ((tracer_ != nullptr && spec.shape != TraceShape::kNone) ||
+        (ledger_ != nullptr && spec.form != LedgerForm::kNone) || (feeds && Wants(spec.metric))) {
+      return Dispatch(spec, at, dur, suffix, MakeArgs(args...));
     }
-    return Dispatch(spec, at, dur, suffix, MakeArgs(args...));
+    UpdateMetric(spec, at.ts, dur, {});
+    return kNoEvent;
   }
   EventId Dispatch(const EventSpec& spec, const At& at, double dur, std::string_view suffix,
                    TraceArgs args) const;
   void UpdateMetric(const EventSpec& spec, double ts, double dur, const TraceArgs& args) const;
-  EventId OpenRegion(Ev id, double ts, TraceArgs args) const;
 
   std::string component_;
   Tracer* tracer_ = nullptr;
@@ -170,7 +169,7 @@ class Sinks {
   EventLedger* ledger_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   // Indexed by Metric; a scalar metric's one handle is series 0.
-  mutable std::vector<std::vector<Series>> slots_;
+  std::vector<std::vector<Series>> slots_;
 };
 
 }  // namespace obs

@@ -5,17 +5,30 @@
 namespace proteus {
 namespace obs {
 
-namespace {
-
-void AppendJsonValue(std::string& out, const TraceValue& value) {
-  if (const auto* s = std::get_if<std::string>(&value)) {
-    AppendJsonString(out, *s);
-  } else if (const auto* i = std::get_if<std::int64_t>(&value)) {
-    AppendJsonNumber(out, *i);
-  } else {
-    AppendJsonNumber(out, std::get<double>(value));
+void AppendArgsJson(std::string& out, const TraceArgs& args) {
+  if (args.empty()) {
+    return;
   }
+  out += ",\"args\":{";
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    AppendJsonString(out, args[i].first);
+    out += ':';
+    const TraceValue& value = args[i].second;
+    if (const auto* s = std::get_if<std::string>(&value)) {
+      AppendJsonString(out, *s);
+    } else if (const auto* n = std::get_if<std::int64_t>(&value)) {
+      AppendJsonNumber(out, *n);
+    } else {
+      AppendJsonNumber(out, std::get<double>(value));
+    }
+  }
+  out += '}';
 }
+
+namespace {
 
 std::string FormatTraceValue(const TraceValue& value) {
   if (const auto* s = std::get_if<std::string>(&value)) {
@@ -131,18 +144,7 @@ std::string Tracer::ToChromeJson() const {
     }
     out += ",\"name\":";
     AppendJsonString(out, event.name);
-    if (!event.args.empty()) {
-      out += ",\"args\":{";
-      for (std::size_t i = 0; i < event.args.size(); ++i) {
-        if (i > 0) {
-          out += ',';
-        }
-        AppendJsonString(out, event.args[i].first);
-        out += ':';
-        AppendJsonValue(out, event.args[i].second);
-      }
-      out += '}';
-    }
+    AppendArgsJson(out, event.args);
     out += '}';
   }
   out += "\n]}\n";

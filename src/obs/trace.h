@@ -39,6 +39,10 @@ struct TraceEvent {
   TraceArgs args;
 };
 
+// Appends `,"args":{...}` (typed values, in order) unless args is empty;
+// shared by the trace and ledger exporters.
+void AppendArgsJson(std::string& out, const TraceArgs& args);
+
 class Tracer {
  public:
   Tracer() = default;

@@ -28,8 +28,6 @@
 #include "src/market/serverless_tier.h"
 #include "src/market/spot_market.h"
 #include "src/obs/sinks.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/proteus/accounting.h"
 #include "src/rpc/channel.h"
 

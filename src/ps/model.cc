@@ -523,9 +523,8 @@ void ModelStore::SetObservability(obs::MetricsRegistry* metrics) {
   for (int s = 0; s < options_.shards; ++s) {
     shards.push_back({{"shard", std::to_string(s)}});
   }
-  sinks_.BindSeries(obs::Metric::kPsApplyNanos, shards);
-  sinks_.BindSeries(obs::Metric::kPsApplyRows, shards);
-  sinks_.BindSeries(obs::Metric::kPsShardRows, shards);
+  sinks_.BindSeries(
+      {obs::Metric::kPsApplyNanos, obs::Metric::kPsApplyRows, obs::Metric::kPsShardRows}, shards);
 }
 
 void ModelStore::UpdateShardGauges() {

@@ -262,7 +262,6 @@ class ModelStore {
   bool backups_enabled_ = false;
   std::vector<std::unique_ptr<Partition>> partitions_;
 
-  // Cached observability handles (see SetObservability).
   // ps.* metrics; the per-shard series are bound in shard order.
   obs::Sinks sinks_{"ps"};
 };

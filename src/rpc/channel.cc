@@ -94,12 +94,10 @@ void Channel::SetObservability(obs::MetricsRegistry* metrics, const std::string&
   for (int tag = 1; tag <= static_cast<int>(MessageType::kReliableFrame); ++tag) {
     series.push_back({{"channel", name}, {"type", MessageTypeName(static_cast<MessageType>(tag))}});
   }
-  for (const obs::Metric metric :
-       {obs::Metric::kRpcMessagesSent, obs::Metric::kRpcBytesSent,
-        obs::Metric::kRpcMessagesDelivered, obs::Metric::kRpcMessagesDropped,
-        obs::Metric::kRpcMessagesDelayed, obs::Metric::kRpcMessagesDuplicated}) {
-    sinks_.BindSeries(metric, series);
-  }
+  sinks_.BindSeries({obs::Metric::kRpcMessagesSent, obs::Metric::kRpcBytesSent,
+                     obs::Metric::kRpcMessagesDelivered, obs::Metric::kRpcMessagesDropped,
+                     obs::Metric::kRpcMessagesDelayed, obs::Metric::kRpcMessagesDuplicated},
+                    series);
 }
 
 void Channel::SetLedger(obs::EventLedger* ledger, const std::string& name) {

@@ -183,11 +183,9 @@ void ReliableChannel::SetLedger(obs::EventLedger* ledger, const std::string& nam
 void ReliableChannel::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                                        const std::string& name) {
   sinks_.Attach(tracer, metrics);
-  const std::vector<obs::Labels> channel = {{{"channel", name}}};
-  for (const obs::Metric metric :
-       {obs::Metric::kRpcRetransmits, obs::Metric::kRpcDupSuppressed, obs::Metric::kRpcAckRtt}) {
-    sinks_.BindSeries(metric, channel);
-  }
+  sinks_.BindSeries(
+      {obs::Metric::kRpcRetransmits, obs::Metric::kRpcDupSuppressed, obs::Metric::kRpcAckRtt},
+      {{{"channel", name}}});
 }
 
 }  // namespace proteus
