@@ -210,7 +210,7 @@ class ChaosHarness {
   // the stall share is attributed there.
   std::vector<FaultClass> carryover_classes_;
 
-  // Observability sinks (optional) and per-class fault counters.
+  // Observability sinks (optional); chaos.faults is bound per fault class.
   obs::Sinks sinks_{"chaos"};
 };
 

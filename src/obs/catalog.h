@@ -4,10 +4,10 @@
 // key ('|' between the keys of a multi-label family) and fixed label
 // value; a labelled entry without a value is a family whose series the
 // owner binds or that register on first use. An event entry gives a
-// kind's name, ledger component, trace shape and ledger form, then (as
-// designated initializers) the metric it updates, the arg feeding it, the
-// ledger args the trace leaves out, and any trace name or track that
-// differs. Two entries share a name where a kind reaches the trace and
+// kind's name, ledger component and trace track, trace shape and ledger
+// form, then (as designated initializers) the metric it updates, the arg
+// feeding it, the ledger args the trace leaves out, and any trace name
+// that differs. Two entries share a name where a kind reaches the trace and
 // the ledger at different moments ("clock", "round") or with different
 // parenting ("rollback"); a family entry ("alloc.", "fault.") stands for
 // prefix + each variant. obs::Sinks turns one call per event into the
@@ -137,7 +137,7 @@ inline constexpr double kAckRttSeconds[] = {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1
   X(DetectorRecovered, "detector.recovered", "agileml", Instant, Record,                         \
     .metric = M::kDetectorFalsePositives)                                                        \
   X(RecoveryStep, "recovery.step", "recovery", None, Region)                                     \
-  X(RecoveryLadder, "recovery.ladder", "recovery", Span, None, .track = "agileml")               \
+  X(RecoveryLadder, "recovery.ladder", "agileml", Span, None)                                    \
   X(RecoveryCheckpoint, "recovery.checkpoint", "recovery", None, Region)                         \
   X(RecoveryScrub, "recovery.scrub", "recovery", None, Record)                                   \
   X(Run, "run", "chaos", None, Region)                                                           \
@@ -199,7 +199,7 @@ struct MetricSpec {
 
 struct EventSpec {
   const char* name = "";       // Ledger kind and trace name, or family prefix.
-  const char* component = "";  // Ledger component; the trace track unless `track`.
+  const char* component = "";  // Ledger component and trace track.
   TraceShape shape = TraceShape::kNone;
   LedgerForm form = LedgerForm::kNone;
   // Updated once per event: +1 without a feed, else by the arg named
@@ -209,10 +209,7 @@ struct EventSpec {
   const char* trace_drop = nullptr;  // '|'-separated ledger args the trace omits.
   const char* sample = nullptr;      // Trace counter of the metric's running total.
   const char* trace_name = nullptr;
-  const char* track = nullptr;
   const char* variants = nullptr;  // '|'-separated suffixes of a family entry.
-
-  const char* trace_track() const { return track != nullptr ? track : component; }
 };
 
 // Indexed by Metric / Ev.

@@ -106,7 +106,7 @@ void Sinks::UpdateMetric(const EventSpec& spec, double ts, double dur,
   }
   series->Update(value);
   if (spec.sample != nullptr && tracer_ != nullptr) {
-    tracer_->CounterAt(ts, spec.sample, spec.trace_track(),
+    tracer_->CounterAt(ts, spec.sample, spec.component,
                        static_cast<double>(series->counter->value()));
   }
 }
@@ -126,9 +126,9 @@ EventId Sinks::Dispatch(const EventSpec& spec, const At& at, double dur,
       }
     }
     if (spec.shape == TraceShape::kInstant) {
-      tracer_->InstantAt(at.ts, name, spec.trace_track(), std::move(trace_args));
+      tracer_->InstantAt(at.ts, name, spec.component, std::move(trace_args));
     } else {
-      tracer_->SpanAt(at.span_start, dur, name, spec.trace_track(), std::move(trace_args));
+      tracer_->SpanAt(at.span_start, dur, name, spec.component, std::move(trace_args));
     }
   }
   if (ledger_ == nullptr || spec.form == LedgerForm::kNone) {
@@ -145,7 +145,7 @@ void Sinks::Sample(Ev id, double ts, double value) const {
   Record(spec.metric, value);
   if (tracer_ != nullptr) {
     tracer_->CounterAt(ts, spec.trace_name != nullptr ? spec.trace_name : spec.name,
-                       spec.trace_track(), value);
+                       spec.component, value);
   }
   if (ledger_ != nullptr && spec.form == LedgerForm::kRecord) {
     ledger_->Record(spec.name, spec.component, ts, {{spec.feed, value}});

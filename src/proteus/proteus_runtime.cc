@@ -107,7 +107,7 @@ void ProteusRuntime::UpdateCostGauges() {
   // too). Ended allocations keep their final bill.
   for (const Allocation& alloc : market_.allocations()) {
     sinks_.RecordLabeled(obs::Metric::kAllocCost, std::to_string(alloc.id),
-                      ComputeJobBill(market_, alloc.id, now_).cost);
+                         ComputeJobBill(market_, alloc.id, now_).cost);
   }
 }
 

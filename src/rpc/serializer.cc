@@ -16,6 +16,14 @@ std::size_t VarU64Size(std::uint64_t v) {
   return n;
 }
 
+void WireWriter::AppendRaw(const void* data, std::size_t n) {
+  if (n == 0) {
+    return;
+  }
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  buf_.insert(buf_.end(), p, p + n);
+}
+
 void WireWriter::VarU64(std::uint64_t v) {
   while (v >= 0x80) {
     buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);

@@ -6,7 +6,6 @@
 #ifndef SRC_RPC_SERIALIZER_H_
 #define SRC_RPC_SERIALIZER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -44,17 +43,10 @@ class WireWriter {
   std::vector<std::uint8_t> Take() { return std::move(buf_); }
 
  private:
-  void AppendRaw(const void* data, std::size_t n) {
-    if (n == 0) {
-      return;
-    }
-    const std::size_t at = buf_.size();
-    if (buf_.capacity() < at + n) {
-      buf_.reserve(std::max(at + n, 2 * buf_.capacity()));
-    }
-    buf_.resize(at + n);
-    std::memcpy(buf_.data() + at, data, n);
-  }
+  // Out of line: inlined with a small constant size, vector::insert draws
+  // false -Warray-bounds / -Wstringop-overflow warnings from GCC 12, and
+  // resize + memcpy would zero-fill every byte before copying it.
+  void AppendRaw(const void* data, std::size_t n);
   std::vector<std::uint8_t> buf_;
 };
 

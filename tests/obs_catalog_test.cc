@@ -75,7 +75,7 @@ std::set<std::string> LedgerKeys() {
 std::set<std::string> TraceKeys() {
   std::set<std::string> keys;
   for (const EventSpec& spec : obs::EventCatalog()) {
-    const std::string track = spec.trace_track();
+    const std::string track = spec.component;
     if (spec.sample != nullptr) {
       keys.insert(track + ":" + spec.sample + ":C");
     }
@@ -168,12 +168,12 @@ std::string EventTable() {
   for (const EventSpec& spec : obs::EventCatalog()) {
     std::string trace = kShapes[static_cast<int>(spec.shape)];
     if (spec.shape != TraceShape::kNone) {
-      trace = std::string(spec.trace_track()) + ": " + trace;
+      trace = std::string(spec.component) + ": " + trace;
       if (spec.trace_name != nullptr) {
-        trace += " `" + std::string(spec.trace_name) + "`";
+        trace += std::string(" `") + spec.trace_name + "`";
       }
       if (spec.sample != nullptr) {
-        trace += " + counter `" + std::string(spec.sample) + "`";
+        trace += std::string(" + counter `") + spec.sample + "`";
       }
       for (const std::string& arg : SplitBars(spec.trace_drop)) {
         trace += ", without `" + arg + "`";
@@ -185,8 +185,8 @@ std::string EventTable() {
     }
     std::string metric = "—";
     if (spec.metric != obs::Metric::kNone) {
-      metric = "`" + std::string(obs::MetricName(spec.metric)) + "` " +
-               (spec.feed != nullptr                     ? "← `" + std::string(spec.feed) + "`"
+      metric = std::string("`") + obs::MetricName(spec.metric) + "` " +
+               (spec.feed != nullptr                     ? std::string("← `") + spec.feed + "`"
                 : spec.shape == TraceShape::kCounter ? std::string("← sample")
                                                      : std::string("+1"));
     }
@@ -206,9 +206,9 @@ std::string MetricTable() {
     std::string labels;
     for (const std::string& key : SplitBars(spec.label)) {
       labels += (labels.empty() ? "`" : ", `") + key +
-                (spec.label_value != nullptr ? "=" + std::string(spec.label_value) : "") + "`";
+                (spec.label_value != nullptr ? std::string("=") + spec.label_value : "") + "`";
     }
-    out += "| `" + std::string(spec.name) + "` | " + obs::MetricKindName(spec.kind) + " | " +
+    out += std::string("| `") + spec.name + "` | " + obs::MetricKindName(spec.kind) + " | " +
            (labels.empty() ? "—" : labels) + " |\n";
   }
   return out;
